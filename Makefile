@@ -42,12 +42,13 @@ shard-determinism:
 	$(GO) test -race -cpu 1,2,8 -run TestGoldenTraceDeterminism ./internal/trace/
 
 # The sharded monitoring pipeline promises byte-identical measured output
-# at every shard count: the full-chain equivalence test, the sharded-sink
-# contract units, and the golden metered-campaign fixture (shards {1,2,8}),
-# race-checked across the GOMAXPROCS matrix.
+# at every shard count: the full-chain and chain-composition equivalence
+# test, the sharded-sink contract units (each drives ConsumeShard from
+# concurrent goroutines), and the golden metered-campaign fixture (shards
+# {1,2,8}), race-checked across the GOMAXPROCS matrix.
 meter-determinism:
 	$(GO) test -race -cpu 1,2,8 -run 'TestShardedPipelineMatchesSerial|TestShardedMeterActuallyShards|TestShardedIrregularSegmentsDefer|TestMeteredCampaignGolden' ./internal/monitor/
-	$(GO) test -race -cpu 1,2,8 -run 'TestStatAndCDFSharded|TestFilterSharded|TestDecimatorSharded|TestShardedFanout|TestAsyncFanoutConcurrentProducers' ./internal/sampling/
+	$(GO) test -race -cpu 1,2,8 -run 'TestStatAndCDFSharded|TestFilterSharded|TestDecimatorSharded|TestFanoutSharded|TestFanoutErrJoins|TestShardedBatchSinkImplementers' ./internal/sampling/
 
 # Warm-start forking gate: a cell forked from a warmed prefix emits a
 # measured trace byte-identical to the same cell simulated from scratch, at
@@ -59,10 +60,12 @@ fork-determinism:
 	$(GO) test -race -cpu 1,2,8 -run 'TestPredictionForkedEquivalence|TestRunMicroWarmupForkedEquivalence|TestRunForkGridCtxSharing' ./internal/exps/
 
 # Batched-pipeline safety net: the golden-trace fixture (byte-identical CSV
-# through the batched meter + fast writer) and the batch-vs-scalar
-# equivalence property test, both under the race detector.
+# through the batched meter + fast writer), the whole-batch vs
+# one-sample-batch equivalence test over every chain composition, and the
+# detach-every-built-in-stage test, all under the race detector.
 pipeline:
 	$(GO) test -race -run 'TestGoldenTrace|TestBatchScalarEquivalence|TestCSVSinkMatchesEncodingCSV' ./internal/trace/ ./internal/monitor/
+	$(GO) test -race -run 'TestDetachSinkBuiltinStages' .
 
 # Observability gate: the metrics registry's lock-free concurrency under
 # the race detector, the Prometheus/span golden tests, and the two

@@ -32,7 +32,7 @@ func TestMeteredCampaignStepAllocs(t *testing.T) {
 		agg := monitor.NewStreamAggregator()
 		csv := trace.NewCSVSink(io.Discard)
 		script := monitor.Script{IntervalSteps: 1, Noise: monitor.DefaultNoise(), Seed: 7}
-		detach, err := script.Attach(e, nil, sampling.Fanout{agg, csv})
+		detach, err := script.Attach(e, nil, sampling.NewFanout(agg, csv))
 		if err != nil {
 			t.Fatal(err)
 		}

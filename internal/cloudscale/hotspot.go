@@ -81,11 +81,8 @@ func NewHotspotSink(ctl *HotspotController) *HotspotSink {
 	return &HotspotSink{ctl: ctl}
 }
 
-// Consume implements sampling.Sink over measured samples.
-func (h *HotspotSink) Consume(s sampling.Sample) { h.col.Consume(s) }
-
-// ConsumeBatch implements sampling.BatchSink, taking each measured step in
-// one dispatch from the batched pipeline.
+// ConsumeBatch implements sampling.Sink over measured samples, taking each
+// measured step in one dispatch from the batched pipeline.
 func (h *HotspotSink) ConsumeBatch(batch []sampling.Sample) { h.col.ConsumeBatch(batch) }
 
 // BeginShardStep implements sampling.ShardedBatchSink by delegating to the

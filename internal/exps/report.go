@@ -147,7 +147,9 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	}
 	b.WriteString("## Trace-driven prediction (Figures 7-9)\n\n")
 	b.WriteString("90th-percentile |p-m|/m errors in percent.\n\n```\n")
-	for fig, sets := range map[int]int{7: 1, 8: 2, 9: 3} {
+	// Figures 7, 8 and 9 run 1, 2 and 3 RUBiS sets, rendered in that order.
+	for fig := 7; fig <= 9; fig++ {
+		sets := fig - 6
 		results, err := PredictionExperimentOpts(ctx, model, PredictionOptions{
 			Sets: sets, Duration: cfg.PredictionDuration,
 			Seed: cfg.Seed + int64(fig), WarmupSteps: cfg.WarmupSteps,

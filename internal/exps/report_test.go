@@ -54,6 +54,34 @@ func TestReportWithoutExtensions(t *testing.T) {
 	}
 }
 
+// TestReportFigure789Order: the trace-driven prediction blocks render in
+// figure order on every run, not in map iteration order.
+func TestReportFigure789Order(t *testing.T) {
+	cfg := QuickReportConfig(5)
+	cfg.SamplesPerRun = 8
+	cfg.PredictionDuration = 15
+	cfg.PlacementRepeats = 1
+	cfg.PlacementDuration = 20
+	cfg.Extensions = false
+	for run := 0; run < 3; run++ {
+		doc, err := FullReport(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := -1
+		for _, block := range []string{"Figure 7 (1 RUBiS", "Figure 8 (2 RUBiS", "Figure 9 (3 RUBiS"} {
+			at := strings.Index(doc, block)
+			if at < 0 {
+				t.Fatalf("report missing %q", block)
+			}
+			if at < last {
+				t.Fatalf("run %d: %q rendered before the preceding figure", run, block)
+			}
+			last = at
+		}
+	}
+}
+
 func TestReportConfigs(t *testing.T) {
 	q := QuickReportConfig(1)
 	p := PaperReportConfig(1)

@@ -60,28 +60,11 @@ func (a *StreamAggregator) agg(pm string) *pmAgg {
 	return agg
 }
 
-// Consume implements sampling.Sink over measured samples: Dom0,
+// ConsumeBatch implements sampling.Sink over measured samples: Dom0,
 // hypervisor, and host rows feed the per-PM streams (guest rows are
-// ignored — the host row already carries the indirect sums).
-func (a *StreamAggregator) Consume(s sampling.Sample) {
-	switch s.Kind {
-	case sampling.KindDom0:
-		a.agg(s.PM).dom0CPU.Add(s.Util.CPU)
-	case sampling.KindHypervisor:
-		a.agg(s.PM).hypCPU.Add(s.Util.CPU)
-	case sampling.KindHost:
-		agg := a.agg(s.PM)
-		agg.pmCPU.Add(s.Util.CPU)
-		agg.pmMem.Add(s.Util.Mem)
-		agg.pmIO.Add(s.Util.IO)
-		agg.pmBW.Add(s.Util.BW)
-	}
-}
-
-// ConsumeBatch implements sampling.BatchSink: one dispatch per step, with
-// the per-PM estimator bundle looked up once per run of same-PM samples
-// (batches arrive grouped by PM, so that is one map probe per PM per
-// step).
+// ignored — the host row already carries the indirect sums). The per-PM
+// estimator bundle is looked up once per run of same-PM samples (batches
+// arrive grouped by PM, so that is one map probe per PM per step).
 func (a *StreamAggregator) ConsumeBatch(batch []sampling.Sample) {
 	var agg *pmAgg
 	var pm string
@@ -94,17 +77,23 @@ func (a *StreamAggregator) ConsumeBatch(batch []sampling.Sample) {
 			pm = s.PM
 			agg = a.agg(pm)
 		}
-		switch s.Kind {
-		case sampling.KindDom0:
-			agg.dom0CPU.Add(s.Util.CPU)
-		case sampling.KindHypervisor:
-			agg.hypCPU.Add(s.Util.CPU)
-		case sampling.KindHost:
-			agg.pmCPU.Add(s.Util.CPU)
-			agg.pmMem.Add(s.Util.Mem)
-			agg.pmIO.Add(s.Util.IO)
-			agg.pmBW.Add(s.Util.BW)
-		}
+		agg.fold(s)
+	}
+}
+
+// fold adds one non-guest sample to the PM's estimators. It is the single
+// fold shared by the serial and sharded paths.
+func (agg *pmAgg) fold(s *sampling.Sample) {
+	switch s.Kind {
+	case sampling.KindDom0:
+		agg.dom0CPU.Add(s.Util.CPU)
+	case sampling.KindHypervisor:
+		agg.hypCPU.Add(s.Util.CPU)
+	case sampling.KindHost:
+		agg.pmCPU.Add(s.Util.CPU)
+		agg.pmMem.Add(s.Util.Mem)
+		agg.pmIO.Add(s.Util.IO)
+		agg.pmBW.Add(s.Util.BW)
 	}
 }
 
@@ -143,28 +132,16 @@ func (a *StreamAggregator) ConsumeShard(shard int, seg []sampling.Sample) {
 			a.pend[shard] = append(a.pend[shard], *s)
 			continue
 		}
-		switch s.Kind {
-		case sampling.KindDom0:
-			agg.dom0CPU.Add(s.Util.CPU)
-		case sampling.KindHypervisor:
-			agg.hypCPU.Add(s.Util.CPU)
-		case sampling.KindHost:
-			agg.pmCPU.Add(s.Util.CPU)
-			agg.pmMem.Add(s.Util.Mem)
-			agg.pmIO.Add(s.Util.IO)
-			agg.pmBW.Add(s.Util.BW)
-		}
+		agg.fold(s)
 	}
 }
 
 // FinishShardStep implements sampling.ShardedBatchSink: staged samples of
-// newly seen PMs replay through the scalar path in shard order, creating
+// newly seen PMs replay through the serial path in shard order, creating
 // their estimators in PM order exactly as the serial step would.
 func (a *StreamAggregator) FinishShardStep() {
 	for s := 0; s < a.shards; s++ {
-		for i := range a.pend[s] {
-			a.Consume(a.pend[s][i])
-		}
+		a.ConsumeBatch(a.pend[s])
 		a.pend[s] = a.pend[s][:0]
 	}
 }

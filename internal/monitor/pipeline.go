@@ -27,8 +27,10 @@ import (
 // instruments live in a dense pmID-indexed slice, the per-group scratch
 // (screen permutation, tool readings) is reused, and the measured group is
 // emitted through one reusable output batch — a single downstream dispatch
-// per group. The scalar Consume path buffers a group and then runs the
-// identical measurement code, so both paths produce bit-identical streams.
+// per group. A group that is not complete within one batch (a filter split
+// it) is buffered by a private per-sample state machine that then runs the
+// identical measurement code, so the measured stream does not depend on
+// how the input was cut into batches.
 //
 // The Meter also implements sampling.ShardedBatchSink: a sharded engine
 // hands each worker's PM-disjoint batch segment straight to the meter on
@@ -38,19 +40,19 @@ import (
 // shard per step, and within a shard groups are measured in segment order
 // — so the merged output is bit-identical to the serial path. Segments
 // with irregular grouping (a filter split a PM group) are deferred whole
-// to the serial merge, where the scalar state machine replays them in
-// shard order.
+// to the serial merge, where the state machine replays them in shard
+// order.
 type Meter struct {
 	Noise NoiseProfile
 	Seed  int64
 	// Next receives the measured stream. It must not be reassigned after
-	// the first sample: the batch view is cached then.
+	// the first sharded step: the sharded view is cached then.
 	Next sampling.Sink
 
 	ins []*instruments // dense, indexed by PM arena ID
 
-	// Buffered samples of the in-flight (PM, step) group (scalar path and
-	// batch-boundary spill only).
+	// Buffered samples of the in-flight (PM, step) group (state machine
+	// only: groups split across batches).
 	guests  []sampling.Sample
 	dom0    sampling.Sample
 	hyp     sampling.Sample
@@ -67,8 +69,7 @@ type Meter struct {
 	shards int                 // shard count of the in-flight sharded step
 	shOn   bool                // Next accepted sharded delivery this step
 
-	nb     sampling.BatchSink         // batch view of Next, resolved on first use
-	nss    sampling.ShardedBatchSink  // sharded view of Next (nil if none)
+	nss    sampling.ShardedBatchSink // sharded view of Next (nil if none)
 	nssRes bool
 
 	// Self-observability instruments (nil-safe no-ops until Instrument).
@@ -81,7 +82,7 @@ type Meter struct {
 
 // meterScratch is the per-group working storage of the tool emulation: the
 // screen permutation, per-tool readings, and the measured output batch.
-// The serial paths own one; every shard of a sharded step owns its own, so
+// The serial path owns one; every shard of a sharded step owns its own, so
 // workers measure concurrently without sharing.
 type meterScratch struct {
 	order    []int // sorted-name permutation
@@ -162,24 +163,11 @@ func (m *Meter) instrumentsFor(pmID int) *instruments {
 	return in
 }
 
-// nextBatch returns the batch view of Next, resolved once on first use (an
-// equality check against Next would panic for uncomparable sinks like
-// Fanout, so the cache is write-once).
-func (m *Meter) nextBatch() sampling.BatchSink {
-	if m.nb == nil {
-		m.nb = sampling.AsBatch(m.Next)
-	}
-	return m.nb
-}
-
-// Consume implements sampling.Sink. Guest, Dom0 and hypervisor samples are
-// buffered; the group's host sample triggers the synchronized multi-tool
-// reading and forwards the measured group downstream in pipeline order.
-func (m *Meter) Consume(s sampling.Sample) { m.consume(s, &m.ser, true) }
-
-// consume is the scalar state machine. With dispatch set, a completed
-// group is measured into a freshly reset sc and forwarded downstream; with
-// it clear (the sharded merge's deferred-segment replay), measured groups
+// consume is the per-sample group state machine. Guest, Dom0 and
+// hypervisor samples are buffered; the group's host sample triggers the
+// synchronized multi-tool reading. With dispatch set, a completed group is
+// measured into a freshly reset sc and forwarded downstream; with it clear
+// (the sharded merge's deferred-segment replay), measured groups
 // accumulate in sc for the caller to deliver.
 func (m *Meter) consume(s sampling.Sample, sc *meterScratch, dispatch bool) {
 	if !m.started || s.PMID != m.curPM || s.Time != m.curTime {
@@ -204,18 +192,18 @@ func (m *Meter) consume(s sampling.Sample, sc *meterScratch, dispatch bool) {
 		}
 		m.measureGroupInto(sc, m.guests, m.dom0, m.hyp, s)
 		if dispatch {
-			m.nextBatch().ConsumeBatch(sc.out)
+			m.Next.ConsumeBatch(sc.out)
 		}
 		m.guests = m.guests[:0]
 		m.open = false
 	}
 }
 
-// ConsumeBatch implements sampling.BatchSink. Complete canonical groups
+// ConsumeBatch implements sampling.Sink. Complete canonical groups
 // (guests..., Dom0, hypervisor, host — the engine's emission order) are
 // sliced directly out of the batch with no copying; anything else (a group
 // split across batches, or a filtered partial group) falls back to the
-// scalar state machine, which produces the identical measured stream.
+// group state machine, which produces the identical measured stream.
 func (m *Meter) ConsumeBatch(batch []sampling.Sample) {
 	i := 0
 	for i < len(batch) {
@@ -224,8 +212,8 @@ func (m *Meter) ConsumeBatch(batch []sampling.Sample) {
 				g := batch[i:]
 				m.ser.reset()
 				m.measureGroupInto(&m.ser, guests, g[len(guests)], g[len(guests)+1], g[len(guests)+2])
-				m.nextBatch().ConsumeBatch(m.ser.out)
-				// Keep the scalar state machine in sync so a following
+				m.Next.ConsumeBatch(m.ser.out)
+				// Keep the group state machine in sync so a following
 				// partial group is handled correctly.
 				m.started = true
 				m.curPM, m.curTime = g[adv-1].PMID, g[adv-1].Time
@@ -234,14 +222,14 @@ func (m *Meter) ConsumeBatch(batch []sampling.Sample) {
 				continue
 			}
 		}
-		m.Consume(batch[i])
+		m.consume(batch[i], &m.ser, true)
 		i++
 	}
 }
 
 // BeginShardStep implements sampling.ShardedBatchSink. The meter accepts
 // every sharded step unless a partial group is buffered from an earlier
-// scalar batch (then it stays on the serial path until the group
+// batch (then it stays on the serial path until the group
 // resolves). Instrument and scratch tables are pre-sized here, on the
 // stepping goroutine, so workers only ever touch disjoint entries.
 func (m *Meter) BeginShardStep(shape sampling.ShardShape) bool {
@@ -265,7 +253,7 @@ func (m *Meter) BeginShardStep(shape sampling.ShardShape) bool {
 		m.shSeg[s] = nil
 	}
 	if !m.nssRes {
-		m.nss, _ = sampling.AsShardedBatch(m.Next)
+		m.nss, _ = m.Next.(sampling.ShardedBatchSink)
 		m.nssRes = true
 	}
 	m.shOn = m.nss != nil && m.nss.BeginShardStep(shape)
@@ -299,7 +287,7 @@ func (m *Meter) ConsumeShard(shard int, seg []sampling.Sample) {
 }
 
 // FinishShardStep implements sampling.ShardedBatchSink: deferred segments
-// replay through the scalar machine in ascending shard order (drawing the
+// replay through the group state machine in ascending shard order (drawing the
 // exact same per-PM noise sequences the parallel path would have), then
 // the measured stream is released downstream — by closing the sharded
 // handoff when Next accepted it, or by dispatching each measured group as
@@ -324,12 +312,11 @@ func (m *Meter) FinishShardStep() {
 		m.nss.FinishShardStep()
 		return
 	}
-	nb := m.nextBatch()
 	for s := 0; s < m.shards; s++ {
 		sc := &m.shs[s]
 		start := 0
 		for _, end := range sc.groupEnd {
-			nb.ConsumeBatch(sc.out[start:end])
+			m.Next.ConsumeBatch(sc.out[start:end])
 			start = end
 		}
 	}
@@ -492,8 +479,15 @@ func (c *Collector) flushRow() {
 	c.row = nil
 }
 
-// Consume implements sampling.Sink.
-func (c *Collector) Consume(s sampling.Sample) {
+// ConsumeBatch implements sampling.Sink.
+func (c *Collector) ConsumeBatch(batch []sampling.Sample) {
+	for i := range batch {
+		c.add(&batch[i])
+	}
+}
+
+// add folds one sample into the row state machine.
+func (c *Collector) add(s *sampling.Sample) {
 	if c.started && s.Time != c.curTime {
 		c.flushRow()
 	}
@@ -520,13 +514,6 @@ func (c *Collector) Consume(s sampling.Sample) {
 		}
 		c.row = append(c.row, c.cur)
 		c.open = false
-	}
-}
-
-// ConsumeBatch implements sampling.BatchSink.
-func (c *Collector) ConsumeBatch(batch []sampling.Sample) {
-	for i := range batch {
-		c.Consume(batch[i])
 	}
 }
 
@@ -588,10 +575,10 @@ func (c *Collector) ConsumeShard(shard int, seg []sampling.Sample) {
 }
 
 // FinishShardStep implements sampling.ShardedBatchSink: replays deferred
-// segments through the scalar machine and concatenates every shard's rows
+// segments through the row state machine and concatenates every shard's rows
 // in shard order — PM order — into the step's row, reproducing the serial
 // collection exactly (including the step-boundary flush, which happens
-// only if the step actually delivered samples, as in the scalar path).
+// only if the step actually delivered samples, as in the serial path).
 func (c *Collector) FinishShardStep() {
 	any := false
 	for s := 0; s < c.shards; s++ {
@@ -614,13 +601,11 @@ func (c *Collector) FinishShardStep() {
 			c.guestHint = sh.maxG
 		}
 		if sh.def != nil {
-			// Replay through the scalar machine with the step row swapped
+			// Replay through the state machine with the step row swapped
 			// for the shard's rows, so replayed rows land in shard order.
 			save := c.row
 			c.row = sh.rows
-			for i := range sh.def {
-				c.Consume(sh.def[i])
-			}
+			c.ConsumeBatch(sh.def)
 			sh.rows, c.row = c.row, save
 			sh.def = nil
 		}
@@ -670,7 +655,6 @@ func (c *Collector) Reset() { *c = Collector{} }
 // trace writer, stat sinks — reuse the exact same batched pipeline stages
 // that run live.
 func PushSeries(series [][]Measurement, sink sampling.Sink) {
-	bs := sampling.AsBatch(sink)
 	var batch []sampling.Sample
 	for _, row := range series {
 		batch = batch[:0]
@@ -687,6 +671,6 @@ func PushSeries(series [][]Measurement, sink sampling.Sink) {
 			batch = append(batch, sampling.Sample{Time: m.Time, PMID: pmIdx, PM: m.PM,
 				VMID: -1, Domain: sampling.LabelHost, Kind: sampling.KindHost, Util: m.Host})
 		}
-		bs.ConsumeBatch(batch)
+		sink.ConsumeBatch(batch)
 	}
 }

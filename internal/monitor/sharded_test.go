@@ -50,7 +50,7 @@ func shardedCampaignCluster() (*xen.Cluster, []*xen.PM, xen.Calibration) {
 }
 
 // meteredRun drives the full measurement chain — engine → Decimate →
-// [Filter] → Meter → ShardedFanout{Collector, StreamAggregator, StatSink,
+// [Filter] → Meter → Fanout{Collector, StreamAggregator, StatSink,
 // CDFSink, CSV-ish recorder} — at the given engine shard count and returns
 // every terminal's observable state.
 type meteredRunResult struct {
@@ -61,11 +61,10 @@ type meteredRunResult struct {
 	recorded []sampling.Sample
 }
 
-// recordCopySink is a strictly-serial BatchSink standing in for the CSV
-// trace writer: it copies every batch it is fed, in order.
+// recordCopySink is a strictly-serial Sink standing in for the CSV trace
+// writer: it copies every batch it is fed, in order.
 type recordCopySink struct{ samples []sampling.Sample }
 
-func (r *recordCopySink) Consume(s sampling.Sample) { r.samples = append(r.samples, s) }
 func (r *recordCopySink) ConsumeBatch(batch []sampling.Sample) {
 	r.samples = append(r.samples, batch...)
 }
@@ -91,7 +90,7 @@ func meteredRunTelemetry(t *testing.T, shards int, monitorSubset bool, reg *obs.
 	stat := sampling.NewStatSink(sampling.SelectKind(sampling.KindHost, units.CPU))
 	cdf := sampling.NewCDFSink(sampling.SelectKind(sampling.KindDom0, units.CPU))
 	rec := &recordCopySink{}
-	fan := sampling.NewShardedFanout(col, agg, stat, cdf, rec)
+	fan := sampling.NewFanout(col, agg, stat, cdf, rec)
 
 	sc := Script{IntervalSteps: 2, Samples: 15, Noise: DefaultNoise(), Seed: 23, Obs: reg}
 	monitored := pms
@@ -114,12 +113,25 @@ func meteredRunTelemetry(t *testing.T, shards int, monitorSubset bool, reg *obs.
 	}
 }
 
-// TestShardedPipelineMatchesSerial is the tentpole's safety net: the whole
-// measurement chain — meter, collector, stream aggregator, stat and CDF
-// sinks, and a strictly-serial recorder behind a ShardedFanout — must
+// TestShardedPipelineMatchesSerial is the sharded pipeline's safety net:
+// the whole measurement chain — meter, collector, stream aggregator, stat
+// and CDF sinks, and a strictly-serial recorder behind a Fanout — must
 // produce bit-identical observable state at every engine shard count, with
-// and without a monitored-PM filter in the chain.
+// and without a monitored-PM filter in the chain. Every chain composition
+// (filter-split groups, fanout members) must likewise emit the same
+// stream at shards {2,8} as at one shard.
 func TestShardedPipelineMatchesSerial(t *testing.T) {
+	const seed, steps = 97, 40
+	for _, tc := range chainCompositions(seed) {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runComposition(seed, 1, steps, tc, false)
+			for _, shards := range []int{2, 8} {
+				got := runComposition(seed, shards, steps, tc, false)
+				sameStream(t, fmt.Sprintf("shards=%d", shards), base, got)
+			}
+		})
+	}
+
 	for _, subset := range []bool{false, true} {
 		name := "all-pms"
 		if subset {

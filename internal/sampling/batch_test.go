@@ -1,16 +1,10 @@
 package sampling
 
 import (
-	"errors"
 	"testing"
 
 	"virtover/internal/units"
 )
-
-// record is a scalar-only recording sink.
-type record struct{ samples []Sample }
-
-func (r *record) Consume(s Sample) { r.samples = append(r.samples, s) }
 
 // recordBatch records samples and the batch boundaries it observed.
 type recordBatch struct {
@@ -18,8 +12,10 @@ type recordBatch struct {
 	batches []int // lengths of ConsumeBatch calls
 }
 
-func (r *recordBatch) Consume(s Sample)        { r.samples = append(r.samples, s) }
-func (r *recordBatch) ConsumeBatch(b []Sample) { r.samples = append(r.samples, b...); r.batches = append(r.batches, len(b)) }
+func (r *recordBatch) ConsumeBatch(b []Sample) {
+	r.samples = append(r.samples, b...)
+	r.batches = append(r.batches, len(b))
+}
 
 // stepBatch builds one step's batch: g guests plus dom0/hyp/host on one PM.
 func stepBatch(t float64, pmID int, g int) []Sample {
@@ -46,27 +42,9 @@ func sameSamples(t *testing.T, got, want []Sample) {
 	}
 }
 
-func TestPerSampleUnrollsBatches(t *testing.T) {
-	var r record
-	b := stepBatch(1, 0, 2)
-	PerSample{&r}.ConsumeBatch(b)
-	sameSamples(t, r.samples, b)
-}
-
-func TestAsBatchPrefersNativePath(t *testing.T) {
-	var rb recordBatch
-	if _, ok := AsBatch(&rb).(*recordBatch); !ok {
-		t.Fatal("AsBatch wrapped a native BatchSink")
-	}
-	var r record
-	if _, ok := AsBatch(&r).(PerSample); !ok {
-		t.Fatal("AsBatch did not adapt a scalar sink")
-	}
-}
-
 func TestFilterBatchForwardsKeptRuns(t *testing.T) {
 	var rb recordBatch
-	f := Filter{Keep: func(s Sample) bool { return s.Kind != KindGuest }, Next: &rb}
+	f := &Filter{Keep: func(s Sample) bool { return s.Kind != KindGuest }, Next: &rb}
 	b := stepBatch(1, 0, 3)
 	f.ConsumeBatch(b)
 	// Guests dropped; the dom0/hyp/host run forwarded as one sub-batch.
@@ -77,34 +55,42 @@ func TestFilterBatchForwardsKeptRuns(t *testing.T) {
 
 	// A filter keeping everything forwards the whole batch in one dispatch.
 	rb = recordBatch{}
-	all := Filter{Keep: func(Sample) bool { return true }, Next: &rb}
+	all := &Filter{Keep: func(Sample) bool { return true }, Next: &rb}
 	all.ConsumeBatch(b)
 	if len(rb.batches) != 1 || rb.batches[0] != len(b) {
 		t.Fatalf("batch boundaries = %v, want [%d]", rb.batches, len(b))
 	}
 }
 
+// TestFilterBatchScalarNext: an isolated kept sample (the host row, with
+// everything around it dropped) reaches Next as a one-sample batch.
 func TestFilterBatchScalarNext(t *testing.T) {
-	var r record
-	f := Filter{Keep: func(s Sample) bool { return s.Kind == KindHost }, Next: &r}
+	var rb recordBatch
+	f := &Filter{Keep: func(s Sample) bool { return s.Kind == KindHost }, Next: &rb}
 	b := stepBatch(2, 0, 2)
 	f.ConsumeBatch(b)
-	sameSamples(t, r.samples, b[len(b)-1:])
+	sameSamples(t, rb.samples, b[len(b)-1:])
+	if len(rb.batches) != 1 || rb.batches[0] != 1 {
+		t.Fatalf("batch boundaries = %v, want [1]", rb.batches)
+	}
 }
 
+// TestDecimatorBatchMatchesScalar: a step delivered sample by sample (as
+// one-sample batches, which the batch contract allows) is decimated
+// exactly like the same step delivered whole.
 func TestDecimatorBatchMatchesScalar(t *testing.T) {
 	for _, every := range []int{1, 2, 3, 5} {
-		var viaBatch, viaScalar recordBatch
+		var viaBatch, viaSplit recordBatch
 		db := Decimate(every, &viaBatch)
-		ds := Decimate(every, &viaScalar)
+		ds := Decimate(every, &viaSplit)
 		for step := 1; step <= 12; step++ {
 			b := stepBatch(float64(step), 0, 2)
 			db.ConsumeBatch(b)
-			for _, s := range b {
-				ds.Consume(s)
+			for i := range b {
+				ds.ConsumeBatch(b[i : i+1])
 			}
 		}
-		sameSamples(t, viaBatch.samples, viaScalar.samples)
+		sameSamples(t, viaBatch.samples, viaSplit.samples)
 		// The batch path makes one keep decision and one dispatch per kept
 		// step.
 		if want := 12 / every; len(viaBatch.batches) != want {
@@ -137,16 +123,20 @@ func TestDecimatorResetClearsParity(t *testing.T) {
 	}
 }
 
+// TestFanoutBatchMixedSinks: on the serial path every member — with a
+// sharded path or without — gets the whole batch in one dispatch.
 func TestFanoutBatchMixedSinks(t *testing.T) {
 	var rb recordBatch
-	var r record
 	var c Counter
+	cdf := NewCDFSink(SelectKind(KindGuest, units.CPU))
 	b := stepBatch(1, 0, 2)
-	Fanout{&rb, &r, &c}.ConsumeBatch(b)
+	NewFanout(&rb, cdf, &c).ConsumeBatch(b)
 	sameSamples(t, rb.samples, b)
-	sameSamples(t, r.samples, b)
 	if len(rb.batches) != 1 {
-		t.Fatalf("native member saw %d dispatches, want 1", len(rb.batches))
+		t.Fatalf("member saw %d dispatches, want 1", len(rb.batches))
+	}
+	if got := cdf.Values(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("sharded-capable member values = %v, want [0 1]", got)
 	}
 	if c.Total != len(b) {
 		t.Fatalf("counter total = %d, want %d", c.Total, len(b))
@@ -158,78 +148,6 @@ func TestCounterBatch(t *testing.T) {
 	c.ConsumeBatch(stepBatch(1, 0, 3))
 	if c.Total != 6 || c.ByKind[KindGuest] != 3 || c.ByKind[KindHost] != 1 {
 		t.Fatalf("counter = %+v", c)
-	}
-}
-
-func TestAsyncFanoutBatchDeliversCopies(t *testing.T) {
-	var a, b lockedCounter
-	af := NewAsyncFanout(2, &a, &b)
-	batch := stepBatch(1, 0, 2)
-	for step := 1; step <= 40; step++ {
-		for i := range batch {
-			batch[i].Time = float64(step) // caller reuses its slice
-		}
-		af.ConsumeBatch(batch)
-	}
-	af.Close()
-	for _, l := range []*lockedCounter{&a, &b} {
-		if len(l.times) != 40*5 {
-			t.Fatalf("async sink got %d samples, want %d", len(l.times), 40*5)
-		}
-		for i := 1; i < len(l.times); i++ {
-			if l.times[i] < l.times[i-1] {
-				t.Fatal("async sink observed out-of-order samples")
-			}
-		}
-	}
-}
-
-func TestAsyncFanoutCloseIdempotent(t *testing.T) {
-	var c lockedCounter
-	af := NewAsyncFanout(1, &c)
-	af.ConsumeBatch(stepBatch(1, 0, 1))
-	af.Close()
-	af.Close() // second Close must not panic on closed channels
-	if len(c.times) != 4 {
-		t.Fatalf("sink got %d samples, want 4", len(c.times))
-	}
-}
-
-// errSink records a sticky error and exposes it through the pipeline's
-// Err() convention, like trace.CSVSink.
-type errSink struct {
-	failAfter int
-	seen      int
-	err       error
-}
-
-func (e *errSink) Consume(Sample) {
-	e.seen++
-	if e.err == nil && e.seen > e.failAfter {
-		e.err = errors.New("sink write failed")
-	}
-}
-
-func (e *errSink) Err() error { return e.err }
-
-func TestAsyncFanoutErrSurfacesSinkError(t *testing.T) {
-	healthy := &lockedCounter{}
-	failing := &errSink{failAfter: 2}
-	af := NewAsyncFanout(2, healthy, failing)
-	for step := 1; step <= 3; step++ {
-		af.ConsumeBatch(stepBatch(float64(step), 0, 0))
-	}
-	af.Close()
-	if err := af.Err(); err == nil || err.Error() != "sink write failed" {
-		t.Fatalf("Err() = %v, want the sink's write error", err)
-	}
-
-	// No failures: Err reports nil even with error-capable sinks attached.
-	ok := NewAsyncFanout(1, &errSink{failAfter: 1000})
-	ok.ConsumeBatch(stepBatch(1, 0, 0))
-	ok.Close()
-	if err := ok.Err(); err != nil {
-		t.Fatalf("Err() = %v, want nil", err)
 	}
 }
 

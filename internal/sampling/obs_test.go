@@ -1,7 +1,6 @@
 package sampling
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -34,33 +33,33 @@ func TestDecimatorCounters(t *testing.T) {
 	if out.Total != 3*4 {
 		t.Errorf("forwarded samples = %d, want 12", out.Total)
 	}
-	// The scalar path counts per step too, not per sample.
+	// A step split into one-sample batches still counts once.
 	d2 := Decimate(2, &out)
 	d2.Instrument(kept, dropped)
 	for step := 1; step <= 4; step++ {
 		for i := 0; i < 3; i++ {
-			d2.Consume(Sample{Time: float64(step), PMID: i})
+			d2.ConsumeBatch([]Sample{{Time: float64(step), PMID: i}})
 		}
 	}
 	if kept.Value() != 3+2 || dropped.Value() != 6+2 {
-		t.Errorf("after scalar run kept/dropped = %d/%d, want 5/8", kept.Value(), dropped.Value())
+		t.Errorf("after split-batch run kept/dropped = %d/%d, want 5/8", kept.Value(), dropped.Value())
 	}
 }
 
-// TestFilterCounters: the batch path counts each sample once on whichever
-// side of the filter it lands, matching the scalar path.
+// TestFilterCounters: each sample counts once on whichever side of the
+// filter it lands, however the step is cut into batches.
 func TestFilterCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	var out Counter
-	f := Filter{
+	f := &Filter{
 		Keep:    func(s Sample) bool { return s.PMID == 1 },
 		Next:    &out,
 		Kept:    reg.Counter("kept", ""),
 		Dropped: reg.Counter("dropped", ""),
 	}
 	f.ConsumeBatch(hostBatch(1, 4)) // PMIDs 0..3: keeps exactly PMID 1
-	f.Consume(Sample{Time: 2, PMID: 1})
-	f.Consume(Sample{Time: 2, PMID: 2})
+	f.ConsumeBatch([]Sample{{Time: 2, PMID: 1}})
+	f.ConsumeBatch([]Sample{{Time: 2, PMID: 2}})
 	if f.Kept.Value() != 2 || f.Dropped.Value() != 4 {
 		t.Errorf("kept/dropped = %d/%d, want 2/4", f.Kept.Value(), f.Dropped.Value())
 	}
@@ -73,45 +72,5 @@ func TestFilterCounters(t *testing.T) {
 // pipeline's Err() convention.
 type fixedErrSink struct{ err error }
 
-func (e *fixedErrSink) Consume(Sample) {}
-func (e *fixedErrSink) Err() error     { return e.err }
-
-// TestAsyncFanoutErrJoinsAll: Err must surface every failing sink, not
-// just the first, and record the failure count in the SinkErrors gauge.
-func TestAsyncFanoutErrJoinsAll(t *testing.T) {
-	reg := obs.NewRegistry()
-	errA := errors.New("sink A failed")
-	errB := errors.New("sink B failed")
-	a := NewAsyncFanout(2, &fixedErrSink{err: errA}, &fixedErrSink{}, &fixedErrSink{err: errB})
-	m := AsyncMetrics{
-		Batches:    reg.Counter("batches", ""),
-		QueueDepth: reg.Gauge("depth", ""),
-		PoolMisses: reg.Counter("misses", ""),
-		SinkErrors: reg.Gauge("errors", ""),
-	}
-	a.Instrument(m)
-	for step := 1; step <= 5; step++ {
-		a.ConsumeBatch(hostBatch(float64(step), 2))
-	}
-	a.Close()
-	err := a.Err()
-	if !errors.Is(err, errA) || !errors.Is(err, errB) {
-		t.Errorf("Err() = %v, want both sink errors joined", err)
-	}
-	if got := m.SinkErrors.Value(); got != 2 {
-		t.Errorf("SinkErrors gauge = %d, want 2", got)
-	}
-	if got := m.Batches.Value(); got != 5 {
-		t.Errorf("Batches = %d, want 5", got)
-	}
-	// Healthy fanout: nil error, zero gauge.
-	ok := NewAsyncFanout(1, &fixedErrSink{})
-	ok.Instrument(m)
-	ok.Close()
-	if err := ok.Err(); err != nil {
-		t.Errorf("healthy fanout Err() = %v, want nil", err)
-	}
-	if got := m.SinkErrors.Value(); got != 0 {
-		t.Errorf("SinkErrors after healthy Err = %d, want 0", got)
-	}
-}
+func (e *fixedErrSink) ConsumeBatch([]Sample) {}
+func (e *fixedErrSink) Err() error            { return e.err }

@@ -20,25 +20,23 @@
 //
 // # Batched delivery
 //
-// The hot path is batched: the engine assembles one reusable []Sample per
-// step (arena order, backing array preallocated at attach time) and hands
-// it to sinks through the BatchSink interface — one dispatch per step
-// instead of one per sample. Scalar sinks keep working unchanged via the
-// PerSample adapter; the built-in stages implement both interfaces and
-// propagate batches natively. The batch contract:
+// Delivery is batched: the engine assembles one reusable []Sample per step
+// (arena order, backing array preallocated at attach time) and hands it to
+// each sink's ConsumeBatch — one dispatch per step instead of one per
+// sample. The batch contract:
 //
 //   - a batch holds samples of a single step, in emission order;
 //   - a step may be delivered as several batches (a Filter forwards the
 //     kept runs), but the samples of one (PM, step) group are only split
 //     when a filter drops part of the group;
 //   - the batch slice is reused by its producer: sinks must not retain it
-//     (copy the samples out if they outlive Consume/ConsumeBatch).
+//     (copy the samples out if they outlive ConsumeBatch).
 //
 // Producers may assemble a batch in parallel — the sharded engine fills
 // disjoint pre-sliced segments of its step batch from several goroutines.
-// For plain BatchSinks delivery is still a single ConsumeBatch call per
-// step on the stepping goroutine, after assembly completes: those sinks
-// never see concurrency, partial assembly, or an order that depends on the
+// For plain Sinks delivery is still a single ConsumeBatch call per step on
+// the stepping goroutine, after assembly completes: those sinks never see
+// concurrency, partial assembly, or an order that depends on the
 // producer's parallelism. Sinks that additionally implement
 // ShardedBatchSink (sharded.go) opt into receiving the PM-disjoint
 // segments concurrently, bracketed by a Begin/Finish pair whose ordered
@@ -47,8 +45,6 @@ package sampling
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"virtover/internal/obs"
 	"virtover/internal/units"
@@ -110,77 +106,72 @@ type Sample struct {
 	Util units.Vector
 }
 
-// Sink consumes a sample stream. Consume must not block for long: the
-// engine calls it synchronously on the simulation hot path. Implementations
-// that can fail (e.g. writers) should record the first error internally and
-// expose it from a Flush or Err method.
-type Sink interface {
-	Consume(Sample)
-}
-
-// BatchSink consumes samples one step-batch at a time. The slice obeys the
-// batch contract in the package comment: emission order, one step per
+// Sink consumes a sample stream one step-batch at a time. The slice obeys
+// the batch contract in the package comment: emission order, one step per
 // batch, and the backing array belongs to the producer — implementations
-// must not retain it past the call.
-type BatchSink interface {
+// must not retain it past the call. ConsumeBatch must not block for long:
+// the engine calls it synchronously on the simulation hot path.
+// Implementations that can fail (e.g. writers) should record the first
+// error internally and expose it from a Flush or Err method.
+type Sink interface {
 	ConsumeBatch([]Sample)
 }
 
-// PerSample adapts a scalar Sink to the BatchSink interface by unrolling
-// each batch into individual Consume calls — the compatibility path that
-// keeps every pre-batching sink working unchanged.
-type PerSample struct{ Sink Sink }
+// Fanout delivers every batch to each member sink in attach order,
+// synchronously. It also implements ShardedBatchSink (sharded.go), so a
+// sharded producer can feed a mixed population: members with a sharded
+// path consume segments in parallel, the rest are fed the step from the
+// merged segments at the merge. Members see the same per-step sample order
+// either way.
+type Fanout struct {
+	sinks []Sink
+	ss    []ShardedBatchSink // nil where the member has no sharded path
+	on    []bool             // member accepted the current sharded step
+	segs  [][]Sample
+}
 
-// ConsumeBatch implements BatchSink.
-func (p PerSample) ConsumeBatch(batch []Sample) {
-	for i := range batch {
-		p.Sink.Consume(batch[i])
+// NewFanout builds a fanout over sinks (attach order is delivery order).
+// The members' sharded views are resolved once, here.
+func NewFanout(sinks ...Sink) *Fanout {
+	f := &Fanout{
+		sinks: sinks,
+		ss:    make([]ShardedBatchSink, len(sinks)),
+		on:    make([]bool, len(sinks)),
+	}
+	for i, s := range sinks {
+		f.ss[i], _ = s.(ShardedBatchSink)
+	}
+	return f
+}
+
+// ConsumeBatch implements Sink: each member gets the whole batch in one
+// dispatch.
+func (f *Fanout) ConsumeBatch(batch []Sample) {
+	for _, k := range f.sinks {
+		k.ConsumeBatch(batch)
 	}
 }
 
-// AsBatch returns the sink's native batch path when it has one, and a
-// PerSample adapter otherwise. Producers should call it once per attached
-// sink (not per batch): the adapter wrapping allocates.
-func AsBatch(s Sink) BatchSink {
-	if b, ok := s.(BatchSink); ok {
-		return b
-	}
-	return PerSample{s}
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Sample)
-
-// Consume implements Sink.
-func (f SinkFunc) Consume(s Sample) { f(s) }
-
-// Fanout delivers every sample to each sink in order, synchronously.
-type Fanout []Sink
-
-// Consume implements Sink.
-func (f Fanout) Consume(s Sample) {
-	for _, k := range f {
-		k.Consume(s)
-	}
-}
-
-// ConsumeBatch implements BatchSink: each member gets the whole batch in
-// one dispatch (scalar members are unrolled in place).
-func (f Fanout) ConsumeBatch(batch []Sample) {
-	for _, k := range f {
-		if b, ok := k.(BatchSink); ok {
-			b.ConsumeBatch(batch)
-			continue
-		}
-		for i := range batch {
-			k.Consume(batch[i])
+// Err surfaces member errors in attach order, probing each sink for the
+// pipeline's `Err() error` convention (e.g. trace.CSVSink) and joining the
+// non-nil results with errors.Join.
+func (f *Fanout) Err() error {
+	var errs []error
+	for _, s := range f.sinks {
+		if e, ok := s.(interface{ Err() error }); ok {
+			if err := e.Err(); err != nil {
+				errs = append(errs, err)
+			}
 		}
 	}
+	return errors.Join(errs...)
 }
 
 // Filter forwards the samples Keep accepts to Next. The optional Kept and
 // Dropped counters (nil-safe no-ops when unset) record the filter's pass
-// ratio; monitor.Script wires them when observability is enabled.
+// ratio; monitor.Script wires them when observability is enabled. Every
+// method has a pointer receiver, so a Filter is attached as *Filter and
+// its serial and sharded paths can never come apart.
 type Filter struct {
 	Keep func(Sample) bool
 	Next Sink
@@ -188,39 +179,18 @@ type Filter struct {
 	Kept    *obs.Counter
 	Dropped *obs.Counter
 
-	// Sharded-delivery state (pointer-receiver methods in sharded.go).
+	// Sharded-delivery state (sharded.go).
 	nss    ShardedBatchSink
 	nssRes bool
 	shBuf  [][]Sample
 }
 
-// Consume implements Sink.
-func (f Filter) Consume(s Sample) {
-	if f.Keep(s) {
-		f.Kept.Inc()
-		f.Next.Consume(s)
-	} else {
-		f.Dropped.Inc()
-	}
-}
-
-// ConsumeBatch implements BatchSink. Kept samples are forwarded as maximal
+// ConsumeBatch implements Sink. Kept samples are forwarded as maximal
 // contiguous sub-slices of the incoming batch — no copying, and a filter
 // that keeps whole PM groups (the monitored-PM filter does) hands each
 // group downstream in a single dispatch.
-func (f Filter) ConsumeBatch(batch []Sample) {
+func (f *Filter) ConsumeBatch(batch []Sample) {
 	kept := 0
-	next, batched := f.Next.(BatchSink)
-	if !batched {
-		for i := range batch {
-			if f.Keep(batch[i]) {
-				kept++
-				f.Next.Consume(batch[i])
-			}
-		}
-		f.countBatch(kept, len(batch))
-		return
-	}
 	start := -1
 	for i := range batch {
 		if f.Keep(batch[i]) {
@@ -231,19 +201,19 @@ func (f Filter) ConsumeBatch(batch []Sample) {
 		}
 		if start >= 0 {
 			kept += i - start
-			next.ConsumeBatch(batch[start:i])
+			f.Next.ConsumeBatch(batch[start:i])
 			start = -1
 		}
 	}
 	if start >= 0 {
 		kept += len(batch) - start
-		next.ConsumeBatch(batch[start:])
+		f.Next.ConsumeBatch(batch[start:])
 	}
 	f.countBatch(kept, len(batch))
 }
 
 // countBatch records one batch's keep/drop split (no-op with nil counters).
-func (f Filter) countBatch(kept, total int) {
+func (f *Filter) countBatch(kept, total int) {
 	f.Kept.Add(uint64(kept))
 	f.Dropped.Add(uint64(total - kept))
 }
@@ -255,9 +225,7 @@ func (f Filter) countBatch(kept, total int) {
 type Decimator struct {
 	every   int
 	next    Sink
-	nb      BatchSink
-	nss     ShardedBatchSink // sharded view of next (sharded.go)
-	nssRes  bool
+	nss     ShardedBatchSink // sharded view of next, nil if none (sharded.go)
 	step    int
 	curTime float64
 	started bool
@@ -279,26 +247,19 @@ func Decimate(every int, next Sink) *Decimator {
 	if every < 1 {
 		every = 1
 	}
-	return &Decimator{every: every, next: next, nb: AsBatch(next)}
+	nss, _ := next.(ShardedBatchSink)
+	return &Decimator{every: every, next: next, nss: nss}
 }
 
-// Consume implements Sink.
-func (d *Decimator) Consume(s Sample) {
-	d.observeStep(s.Time)
-	if d.keep {
-		d.next.Consume(s)
-	}
-}
-
-// ConsumeBatch implements BatchSink: one step decision per batch (all
-// samples of a batch share the step time), then at most one forward.
+// ConsumeBatch implements Sink: one step decision per batch (all samples
+// of a batch share the step time), then at most one forward.
 func (d *Decimator) ConsumeBatch(batch []Sample) {
 	if len(batch) == 0 {
 		return
 	}
 	d.observeStep(batch[0].Time)
 	if d.keep {
-		d.nb.ConsumeBatch(batch)
+		d.next.ConsumeBatch(batch)
 	}
 }
 
@@ -326,178 +287,13 @@ func (d *Decimator) Reset() {
 	d.step, d.curTime, d.started, d.keep = 0, 0, false, false
 }
 
-// asyncBatch is one pooled message of the AsyncFanout: a copied batch plus
-// the number of workers still reading it. The last reader recycles it.
-type asyncBatch struct {
-	buf  []Sample
-	refs atomic.Int32
-}
-
-// AsyncFanout delivers samples to several sinks concurrently: each sink
-// runs on its own goroutine fed by a buffered channel, so a slow consumer
-// (a compressing writer, say) does not stall the simulation or its sibling
-// sinks. Every sink still observes the full stream in order. Batches are
-// copied once into a pooled buffer shared (read-only) by all workers, so
-// steady-state delivery allocates nothing. Close must be called to drain
-// and join the workers before reading results out of the sinks.
-type AsyncFanout struct {
-	chans []chan *asyncBatch
-	done  chan struct{}
-	sinks []Sink
-	free  chan *asyncBatch
-	once  sync.Once
-	one   [1]Sample // scratch for scalar Consume
-
-	batches    *obs.Counter // batches enqueued (per fanout, not per worker)
-	queueDepth *obs.Gauge   // deepest worker queue after the last enqueue
-	poolMisses *obs.Counter // enqueues that had to allocate a fresh buffer
-	sinkErrors *obs.Gauge   // errors surfaced by the wrapped sinks (set by Err)
-}
-
-// AsyncMetrics bundles the optional AsyncFanout instruments; any field may
-// be nil (a no-op).
-type AsyncMetrics struct {
-	Batches    *obs.Counter
-	QueueDepth *obs.Gauge
-	PoolMisses *obs.Counter
-	SinkErrors *obs.Gauge
-}
-
-// Instrument attaches the fanout's instruments. Call before the first
-// Consume; the fields are read by the enqueue path without synchronization.
-func (a *AsyncFanout) Instrument(m AsyncMetrics) {
-	a.batches, a.queueDepth, a.poolMisses, a.sinkErrors =
-		m.Batches, m.QueueDepth, m.PoolMisses, m.SinkErrors
-}
-
-// NewAsyncFanout starts one worker per sink with the given channel buffer
-// (minimum 1), counted in batches.
-func NewAsyncFanout(buffer int, sinks ...Sink) *AsyncFanout {
-	if buffer < 1 {
-		buffer = 1
-	}
-	a := &AsyncFanout{
-		chans: make([]chan *asyncBatch, len(sinks)),
-		done:  make(chan struct{}),
-		sinks: sinks,
-		free:  make(chan *asyncBatch, buffer*len(sinks)+1),
-	}
-	for i, sink := range sinks {
-		ch := make(chan *asyncBatch, buffer)
-		a.chans[i] = ch
-		go func(sink Sink, ch <-chan *asyncBatch) {
-			bs, batched := sink.(BatchSink)
-			for ab := range ch {
-				if batched {
-					bs.ConsumeBatch(ab.buf)
-				} else {
-					for i := range ab.buf {
-						sink.Consume(ab.buf[i])
-					}
-				}
-				if ab.refs.Add(-1) == 0 {
-					select {
-					case a.free <- ab:
-					default: // pool full; let the GC have it
-					}
-				}
-			}
-			a.done <- struct{}{}
-		}(sink, ch)
-	}
-	return a
-}
-
-// send copies samples into a pooled batch and enqueues it for every worker.
-func (a *AsyncFanout) send(samples []Sample) {
-	if len(a.chans) == 0 || len(samples) == 0 {
-		return
-	}
-	var ab *asyncBatch
-	select {
-	case ab = <-a.free:
-	default:
-		ab = &asyncBatch{}
-		a.poolMisses.Inc()
-	}
-	ab.buf = append(ab.buf[:0], samples...)
-	ab.refs.Store(int32(len(a.chans)))
-	for _, ch := range a.chans {
-		ch <- ab
-	}
-	a.batches.Inc()
-	if a.queueDepth != nil {
-		depth := 0
-		for _, ch := range a.chans {
-			if n := len(ch); n > depth {
-				depth = n
-			}
-		}
-		a.queueDepth.Set(int64(depth))
-	}
-}
-
-// Consume implements Sink. It blocks when a worker's buffer is full,
-// providing backpressure instead of unbounded memory growth.
-func (a *AsyncFanout) Consume(s Sample) {
-	a.one[0] = s
-	a.send(a.one[:])
-}
-
-// ConsumeBatch implements BatchSink: the batch is copied once (into a
-// pooled buffer) and every worker consumes the same copy, so the caller
-// may reuse its slice immediately.
-func (a *AsyncFanout) ConsumeBatch(batch []Sample) { a.send(batch) }
-
-// Close drains the workers and waits for them to finish. After Close the
-// wrapped sinks hold their final state and the fanout must not be fed
-// again. Close is idempotent: extra calls are no-ops.
-func (a *AsyncFanout) Close() {
-	a.once.Do(func() {
-		for _, ch := range a.chans {
-			close(ch)
-		}
-		for range a.chans {
-			<-a.done
-		}
-	})
-}
-
-// Err surfaces the errors recorded by the wrapped sinks, in sink order,
-// by probing each for an `Err() error` method (the pipeline's convention
-// for failable sinks, e.g. trace.CSVSink) and joining every non-nil result
-// with errors.Join — earlier versions returned only the first and silently
-// dropped the rest. The SinkErrors gauge, when instrumented, is set to the
-// number of failing sinks (idempotent across repeated calls). Call after
-// Close: before the drain, sinks are still being written by their workers.
-func (a *AsyncFanout) Err() error {
-	var errs []error
-	for _, s := range a.sinks {
-		if f, ok := s.(interface{ Err() error }); ok {
-			if err := f.Err(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	a.sinkErrors.Set(int64(len(errs)))
-	return errors.Join(errs...)
-}
-
 // Counter counts samples per kind; useful in tests and sanity checks.
 type Counter struct {
 	Total  int
 	ByKind [4]int
 }
 
-// Consume implements Sink.
-func (c *Counter) Consume(s Sample) {
-	c.Total++
-	if int(s.Kind) < len(c.ByKind) {
-		c.ByKind[s.Kind]++
-	}
-}
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements Sink.
 func (c *Counter) ConsumeBatch(batch []Sample) {
 	c.Total += len(batch)
 	for i := range batch {

@@ -2,27 +2,28 @@ package sampling
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"virtover/internal/units"
 )
 
 // emit pushes n steps of a two-domain stream (one guest + one host row per
-// step) into sink.
+// step) into sink, one batch per step.
 func emit(sink Sink, steps int) {
 	for i := 0; i < steps; i++ {
 		t := float64(i + 1)
-		sink.Consume(Sample{Time: t, PMID: 0, PM: "pm1", VMID: 0, Domain: "vm1",
-			Kind: KindGuest, Util: units.V(float64(10+i), 100, 1, 10)})
-		sink.Consume(Sample{Time: t, PMID: 0, PM: "pm1", VMID: -1, Domain: LabelHost,
-			Kind: KindHost, Util: units.V(float64(20 + i), 200, 2, 20)})
+		sink.ConsumeBatch([]Sample{
+			{Time: t, PMID: 0, PM: "pm1", VMID: 0, Domain: "vm1",
+				Kind: KindGuest, Util: units.V(float64(10+i), 100, 1, 10)},
+			{Time: t, PMID: 0, PM: "pm1", VMID: -1, Domain: LabelHost,
+				Kind: KindHost, Util: units.V(float64(20+i), 200, 2, 20)},
+		})
 	}
 }
 
 func TestFanoutDeliversToAll(t *testing.T) {
 	var a, b Counter
-	emit(Fanout{&a, &b}, 3)
+	emit(NewFanout(&a, &b), 3)
 	if a.Total != 6 || b.Total != 6 {
 		t.Fatalf("fanout totals = %d, %d; want 6, 6", a.Total, b.Total)
 	}
@@ -33,7 +34,7 @@ func TestFanoutDeliversToAll(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	var c Counter
-	f := Filter{Keep: func(s Sample) bool { return s.Kind == KindHost }, Next: &c}
+	f := &Filter{Keep: func(s Sample) bool { return s.Kind == KindHost }, Next: &c}
 	emit(f, 4)
 	if c.Total != 4 || c.ByKind[KindGuest] != 0 {
 		t.Fatalf("filter passed %d samples (%v), want 4 host rows", c.Total, c.ByKind)
@@ -47,13 +48,14 @@ func TestDecimatorForwardsEveryNthStep(t *testing.T) {
 	if c.Total != 6 {
 		t.Fatalf("decimated total = %d, want 6", c.Total)
 	}
+	var rb recordBatch
+	emit(Decimate(2, &rb), 5)
 	var times []float64
-	d := Decimate(2, SinkFunc(func(s Sample) {
+	for _, s := range rb.samples {
 		if s.Kind == KindHost {
 			times = append(times, s.Time)
 		}
-	}))
-	emit(d, 5)
+	}
 	want := []float64{2, 4}
 	if len(times) != len(want) {
 		t.Fatalf("decimated host times = %v, want %v", times, want)
@@ -70,36 +72,6 @@ func TestDecimatorEveryOneKeepsAll(t *testing.T) {
 	emit(Decimate(0, &c), 4)
 	if c.Total != 8 {
 		t.Fatalf("every<1 total = %d, want all 8", c.Total)
-	}
-}
-
-// lockedCounter guards its counts so the race detector can verify the
-// AsyncFanout delivery, and records order to prove per-sink ordering.
-type lockedCounter struct {
-	mu    sync.Mutex
-	times []float64
-}
-
-func (l *lockedCounter) Consume(s Sample) {
-	l.mu.Lock()
-	l.times = append(l.times, s.Time)
-	l.mu.Unlock()
-}
-
-func TestAsyncFanoutDeliversInOrder(t *testing.T) {
-	var a, b lockedCounter
-	af := NewAsyncFanout(4, &a, &b)
-	emit(af, 50)
-	af.Close()
-	for _, l := range []*lockedCounter{&a, &b} {
-		if len(l.times) != 100 {
-			t.Fatalf("async sink got %d samples, want 100", len(l.times))
-		}
-		for i := 1; i < len(l.times); i++ {
-			if l.times[i] < l.times[i-1] {
-				t.Fatal("async sink observed out-of-order samples")
-			}
-		}
 	}
 }
 

@@ -1,15 +1,13 @@
 package sampling
 
-import "errors"
-
 // Sharded batch delivery.
 //
 // A sharded producer (the engine's worker pool) assembles one step batch in
 // PM-disjoint segments, one per shard, and can hand each segment to a sink
 // *while still on the worker that produced it* — the shard that steps a PM
 // range also meters it (the affinity invariant, DESIGN.md §13). A sink opts
-// in by implementing ShardedBatchSink on top of its BatchSink path. The
-// protocol per step:
+// in by implementing ShardedBatchSink on top of its Sink path. The protocol
+// per step:
 //
 //  1. BeginShardStep(shape) on the stepping goroutine, before any segment
 //     exists. The sink sizes per-shard scratch and returns whether it
@@ -33,8 +31,11 @@ import "errors"
 //
 // Selectors, Keep funcs and other user callbacks reached from ConsumeShard
 // must be safe for concurrent use (pure functions are).
+//
+// Producers resolve the sharded view with a type assertion,
+// s.(ShardedBatchSink), once per attached sink.
 type ShardedBatchSink interface {
-	BatchSink
+	Sink
 	// BeginShardStep opens one sharded step. False declines (this step):
 	// the producer will deliver the merged batch via ConsumeBatch instead.
 	BeginShardStep(shape ShardShape) bool
@@ -57,12 +58,6 @@ type ShardShape struct {
 	MaxPMID int
 }
 
-// AsShardedBatch returns the sink's sharded batch path, if it has one.
-func AsShardedBatch(s Sink) (ShardedBatchSink, bool) {
-	ss, ok := s.(ShardedBatchSink)
-	return ss, ok
-}
-
 // BeginShardStep implements ShardedBatchSink: the decimator makes its one
 // per-step keep decision here and declines the whole sharded step when the
 // step is decimated away (the fallback ConsumeBatch re-observes the same
@@ -70,14 +65,7 @@ func AsShardedBatch(s Sink) (ShardedBatchSink, bool) {
 // sharded path.
 func (d *Decimator) BeginShardStep(shape ShardShape) bool {
 	d.observeStep(shape.Time)
-	if !d.keep {
-		return false
-	}
-	if !d.nssRes {
-		d.nss, _ = AsShardedBatch(d.next)
-		d.nssRes = true
-	}
-	if d.nss == nil {
+	if !d.keep || d.nss == nil {
 		return false
 	}
 	return d.nss.BeginShardStep(shape)
@@ -91,13 +79,10 @@ func (d *Decimator) ConsumeShard(shard int, seg []Sample) {
 // FinishShardStep implements ShardedBatchSink.
 func (d *Decimator) FinishShardStep() { d.nss.FinishShardStep() }
 
-// BeginShardStep implements ShardedBatchSink. The sharded methods have
-// pointer receivers: a Filter stored by value in a Sink interface keeps the
-// serial paths only, so chains that want sharded filtering must attach
-// *Filter (monitor.Script does).
+// BeginShardStep implements ShardedBatchSink.
 func (f *Filter) BeginShardStep(shape ShardShape) bool {
 	if !f.nssRes {
-		f.nss, _ = AsShardedBatch(f.Next)
+		f.nss, _ = f.Next.(ShardedBatchSink)
 		f.nssRes = true
 	}
 	if f.nss == nil || !f.nss.BeginShardStep(shape) {
@@ -211,55 +196,10 @@ func (c *CDFSink) FinishShardStep() {
 	}
 }
 
-// ShardedFanout delivers every sample to each sink in order, like Fanout,
-// and additionally implements ShardedBatchSink so a sharded producer can
-// feed a mixed population: members with a sharded path consume segments in
-// parallel, members without one (a CSV trace writer, an AsyncFanout) are
-// fed the step once from the merged segments, in ascending shard order, on
-// the merge goroutine. Members see the same per-step sample order either
-// way.
-type ShardedFanout struct {
-	sinks []Sink
-	bs    []BatchSink
-	ss    []ShardedBatchSink // nil where the member has no sharded path
-	on    []bool             // member accepted the current sharded step
-	segs  [][]Sample
-}
-
-// NewShardedFanout builds a fanout over sinks (attach order is delivery
-// order). Batch and sharded views are resolved once, here.
-func NewShardedFanout(sinks ...Sink) *ShardedFanout {
-	f := &ShardedFanout{
-		sinks: sinks,
-		bs:    make([]BatchSink, len(sinks)),
-		ss:    make([]ShardedBatchSink, len(sinks)),
-		on:    make([]bool, len(sinks)),
-	}
-	for i, s := range sinks {
-		f.bs[i] = AsBatch(s)
-		f.ss[i], _ = AsShardedBatch(s)
-	}
-	return f
-}
-
-// Consume implements Sink.
-func (f *ShardedFanout) Consume(s Sample) {
-	for _, k := range f.sinks {
-		k.Consume(s)
-	}
-}
-
-// ConsumeBatch implements BatchSink.
-func (f *ShardedFanout) ConsumeBatch(batch []Sample) {
-	for _, b := range f.bs {
-		b.ConsumeBatch(batch)
-	}
-}
-
 // BeginShardStep implements ShardedBatchSink. It accepts when at least one
 // member does; members that decline (or have no sharded path) are fed
 // serially at FinishShardStep.
-func (f *ShardedFanout) BeginShardStep(shape ShardShape) bool {
+func (f *Fanout) BeginShardStep(shape ShardShape) bool {
 	any := false
 	for i, ss := range f.ss {
 		on := ss != nil && ss.BeginShardStep(shape)
@@ -281,7 +221,7 @@ func (f *ShardedFanout) BeginShardStep(shape ShardShape) bool {
 // ConsumeShard implements ShardedBatchSink: sharded members consume the
 // segment now (on the producing worker); the segment reference is kept for
 // the serial members' merge-time feed. Writes are per-shard disjoint.
-func (f *ShardedFanout) ConsumeShard(shard int, seg []Sample) {
+func (f *Fanout) ConsumeShard(shard int, seg []Sample) {
 	f.segs[shard] = seg
 	for i, on := range f.on {
 		if on {
@@ -292,8 +232,8 @@ func (f *ShardedFanout) ConsumeShard(shard int, seg []Sample) {
 
 // FinishShardStep implements ShardedBatchSink: members merge (or are fed
 // the step's segments in ascending shard order) in attach order, matching
-// Fanout's per-step member ordering.
-func (f *ShardedFanout) FinishShardStep() {
+// ConsumeBatch's per-step member ordering.
+func (f *Fanout) FinishShardStep() {
 	for i := range f.sinks {
 		if f.on[i] {
 			f.ss[i].FinishShardStep()
@@ -301,26 +241,11 @@ func (f *ShardedFanout) FinishShardStep() {
 		}
 		for _, seg := range f.segs {
 			if len(seg) > 0 {
-				f.bs[i].ConsumeBatch(seg)
+				f.sinks[i].ConsumeBatch(seg)
 			}
 		}
 	}
 	for i := range f.segs {
 		f.segs[i] = nil
 	}
-}
-
-// Err surfaces member errors in attach order, probing each sink for the
-// pipeline's `Err() error` convention and joining the non-nil results —
-// same contract as AsyncFanout.Err.
-func (f *ShardedFanout) Err() error {
-	var errs []error
-	for _, s := range f.sinks {
-		if e, ok := s.(interface{ Err() error }); ok {
-			if err := e.Err(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
 }

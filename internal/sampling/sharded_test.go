@@ -9,14 +9,6 @@ import (
 	"virtover/internal/units"
 )
 
-// total reads a lockedCounter's delivered-sample count after the workers
-// have been joined.
-func (l *lockedCounter) total() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.times)
-}
-
 // groupFor builds one canonical PM group (guest, Dom0, hypervisor, host) at
 // the given time with PM-distinct utilizations.
 func groupFor(pm int, t float64) []Sample {
@@ -31,21 +23,27 @@ func groupFor(pm int, t float64) []Sample {
 
 // shardedStep feeds a ShardedBatchSink one step of nPM groups split into
 // the given shard count, the way the engine does: contiguous PM ranges,
-// one ConsumeShard per shard, ascending order here (order must not matter,
-// but tests that permute shards call the methods directly).
+// one ConsumeShard per shard, each on its own goroutine (so the race
+// detector checks the per-shard state), then the merge on the caller's.
 func shardedStep(t *testing.T, ss ShardedBatchSink, shards, nPM int, time float64) bool {
 	t.Helper()
 	if !ss.BeginShardStep(ShardShape{Shards: shards, Time: time, MaxPMID: nPM - 1}) {
 		return false
 	}
 	per := (nPM + shards - 1) / shards
+	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		var seg []Sample
 		for pm := s * per; pm < (s+1)*per && pm < nPM; pm++ {
 			seg = append(seg, groupFor(pm, time)...)
 		}
-		ss.ConsumeShard(s, seg)
+		wg.Add(1)
+		go func(s int, seg []Sample) {
+			defer wg.Done()
+			ss.ConsumeShard(s, seg)
+		}(s, seg)
 	}
+	wg.Wait()
 	ss.FinishShardStep()
 	return true
 }
@@ -59,14 +57,24 @@ func serialStep(nPM int, time float64) []Sample {
 	return batch
 }
 
-func TestAsShardedBatch(t *testing.T) {
-	if _, ok := AsShardedBatch(NewStatSink(SelectKind(KindHost, units.CPU))); !ok {
-		t.Error("StatSink should expose the sharded contract")
+// TestShardedBatchSinkImplementers pins which built-in stages opt into
+// sharded delivery: the stat sinks and the chain stages do, Counter does
+// not (the fanout tests rely on it as a serial-only member).
+func TestShardedBatchSinkImplementers(t *testing.T) {
+	sel := SelectKind(KindHost, units.CPU)
+	for name, s := range map[string]Sink{
+		"StatSink":  NewStatSink(sel),
+		"CDFSink":   NewCDFSink(sel),
+		"Filter":    &Filter{Keep: func(Sample) bool { return true }, Next: &Counter{}},
+		"Decimator": Decimate(2, &Counter{}),
+		"Fanout":    NewFanout(),
+	} {
+		if _, ok := s.(ShardedBatchSink); !ok {
+			t.Errorf("%s should expose the sharded contract", name)
+		}
 	}
-	if _, ok := AsShardedBatch(NewCDFSink(SelectKind(KindHost, units.CPU))); !ok {
-		t.Error("CDFSink should expose the sharded contract")
-	}
-	if _, ok := AsShardedBatch(&Counter{}); ok {
+	var c Sink = &Counter{}
+	if _, ok := c.(ShardedBatchSink); ok {
 		t.Error("Counter must not appear sharded")
 	}
 }
@@ -115,12 +123,8 @@ func TestFilterShardedMatchesSerial(t *testing.T) {
 
 	shOut := NewCDFSink(SelectKind(KindHost, units.CPU))
 	sh := &Filter{Keep: keepOdd, Next: shOut}
-	ss, ok := AsShardedBatch(sh)
-	if !ok {
-		t.Fatal("*Filter should expose the sharded contract")
-	}
 	for step := 1; step <= 2; step++ {
-		if !shardedStep(t, ss, 3, nPM, float64(step)) {
+		if !shardedStep(t, sh, 3, nPM, float64(step)) {
 			t.Fatal("filter declined a sharded step with a sharded next")
 		}
 	}
@@ -131,8 +135,7 @@ func TestFilterShardedMatchesSerial(t *testing.T) {
 	// A keep-everything filter must pass segments through unchanged.
 	allOut := NewCDFSink(SelectKind(KindHost, units.CPU))
 	all := &Filter{Keep: func(Sample) bool { return true }, Next: allOut}
-	ssAll, _ := AsShardedBatch(all)
-	shardedStep(t, ssAll, 2, nPM, 1)
+	shardedStep(t, all, 2, nPM, 1)
 	ref := NewCDFSink(SelectKind(KindHost, units.CPU))
 	ref.ConsumeBatch(serialStep(nPM, 1))
 	if !reflect.DeepEqual(ref.Values(), allOut.Values()) {
@@ -153,13 +156,9 @@ func TestDecimatorShardedDropsAndCascades(t *testing.T) {
 
 	shOut := NewStatSink(SelectKind(KindHost, units.CPU))
 	sh := Decimate(2, shOut)
-	ss, ok := AsShardedBatch(sh)
-	if !ok {
-		t.Fatal("*Decimator should expose the sharded contract")
-	}
 	accepted := 0
 	for step := 1; step <= 6; step++ {
-		if shardedStep(t, ss, 2, nPM, float64(step)) {
+		if shardedStep(t, sh, 2, nPM, float64(step)) {
 			accepted++
 		} else {
 			// Declined (dropped) steps fall back to the merged path, which
@@ -175,15 +174,15 @@ func TestDecimatorShardedDropsAndCascades(t *testing.T) {
 	}
 }
 
-// TestShardedFanoutMixedMembers: sharded-capable members get live segments,
-// serial members get the same stream replayed in ascending shard order at
-// the merge; both must equal the serial reference.
-func TestShardedFanoutMixedMembers(t *testing.T) {
+// TestFanoutShardedMixedMembers: sharded-capable members get live
+// segments, serial members get the same stream replayed in ascending shard
+// order at the merge; both must equal the serial reference.
+func TestFanoutShardedMixedMembers(t *testing.T) {
 	const nPM = 5
 	sel := SelectKind(KindHost, units.CPU)
 	shardedMember := NewCDFSink(sel)
 	serialMember := &Counter{}
-	fan := NewShardedFanout(shardedMember, serialMember)
+	fan := NewFanout(shardedMember, serialMember)
 
 	for step := 1; step <= 2; step++ {
 		if !shardedStep(t, fan, 2, nPM, float64(step)) {
@@ -206,53 +205,24 @@ func TestShardedFanoutMixedMembers(t *testing.T) {
 	}
 }
 
-// TestShardedFanoutErrJoins: Err must join every failing member, in attach
-// order, following the AsyncFanout convention.
-func TestShardedFanoutErrJoins(t *testing.T) {
+// TestFanoutErrJoins: Err must join every failing member, in attach
+// order, and report nil when no member failed.
+func TestFanoutErrJoins(t *testing.T) {
 	errA, errB := errors.New("sink A failed"), errors.New("sink B failed")
-	fan := NewShardedFanout(
-		&errSink{failAfter: -1, err: errA},
+	fan := NewFanout(
+		&fixedErrSink{err: errA},
 		&Counter{},
-		&errSink{failAfter: -1, err: errB},
+		&fixedErrSink{},
+		&fixedErrSink{err: errB},
 	)
 	err := fan.Err()
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("Err() = %v, want both member errors joined", err)
 	}
-}
-
-// TestAsyncFanoutConcurrentProducers drives AsyncFanout from many
-// goroutines at once — the shape a sharded pipeline produces when shard
-// workers hand off batches concurrently — with one sink that starts
-// failing mid-stream. All batches must be delivered exactly once per sink
-// and Err must surface the sink's error after Close, with no data races
-// (this test is part of the -race suite).
-func TestAsyncFanoutConcurrentProducers(t *testing.T) {
-	const producers = 8
-	const batchesPer = 50
-	const batchLen = 4
-
-	healthy := &lockedCounter{}
-	failing := &errSink{failAfter: 40}
-	af := NewAsyncFanout(4, healthy, failing)
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < batchesPer; i++ {
-				af.ConsumeBatch(groupFor(p, float64(i)))
-			}
-		}(p)
+	if got, want := err.Error(), "sink A failed\nsink B failed"; got != want {
+		t.Errorf("Err() = %q, want %q (attach order)", got, want)
 	}
-	wg.Wait()
-	af.Close()
-
-	if want := producers * batchesPer * batchLen; healthy.total() != want {
-		t.Errorf("healthy sink saw %d samples, want %d", healthy.total(), want)
-	}
-	if err := af.Err(); err == nil || err.Error() != "sink write failed" {
-		t.Fatalf("Err() = %v, want the failing sink's error surfaced after Close", err)
+	if err := NewFanout(&fixedErrSink{}, &Counter{}).Err(); err != nil {
+		t.Errorf("healthy fanout Err() = %v, want nil", err)
 	}
 }

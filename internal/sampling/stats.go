@@ -112,14 +112,7 @@ func NewStatSink(sel Selector) *StatSink {
 	return &StatSink{sel: sel, stat: NewStat()}
 }
 
-// Consume implements Sink.
-func (s *StatSink) Consume(smp Sample) {
-	if x, ok := s.sel(smp); ok {
-		s.stat.Add(x)
-	}
-}
-
-// ConsumeBatch implements BatchSink: one dispatch per step, selector per
+// ConsumeBatch implements Sink: one dispatch per step, selector per
 // sample.
 func (s *StatSink) ConsumeBatch(batch []Sample) {
 	for i := range batch {
@@ -149,14 +142,7 @@ func NewCDFSink(sel Selector) *CDFSink {
 	return &CDFSink{sel: sel}
 }
 
-// Consume implements Sink.
-func (c *CDFSink) Consume(smp Sample) {
-	if x, ok := c.sel(smp); ok {
-		c.values = append(c.values, x)
-	}
-}
-
-// ConsumeBatch implements BatchSink.
+// ConsumeBatch implements Sink.
 func (c *CDFSink) ConsumeBatch(batch []Sample) {
 	for i := range batch {
 		if x, ok := c.sel(batch[i]); ok {

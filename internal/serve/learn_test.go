@@ -73,15 +73,22 @@ func ingestLines(tenant string, samples []core.Sample) string {
 	return b.String()
 }
 
+// mustServer builds a server, failing the test on an invalid option set.
+func mustServer(t *testing.T, opt Options) *Server {
+	t.Helper()
+	s, err := NewServer(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // learnServer builds a server with the background refit loop disabled, so
 // tests drive refits deterministically through RefitNow.
 func learnServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
 	opt.RefitInterval = -1
-	s, err := NewServer(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustServer(t, opt)
 	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)

@@ -14,7 +14,7 @@ import (
 // TestRequestIDHeader: every response carries X-Request-ID; a
 // client-supplied ID is echoed back unchanged.
 func TestRequestIDHeader(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 1})
+	s := mustServer(t, Options{Workers: 1, Queue: 1})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -53,7 +53,7 @@ func TestServeJournalEvents(t *testing.T) {
 	j := obs.NewJournal(&buf,
 		obs.WithJournalClock(func() int64 { return 0 }),
 		obs.WithAllocProbe(func() int64 { return 0 }))
-	s := New(Options{Workers: 2, Queue: 4, Journal: j})
+	s := mustServer(t, Options{Workers: 2, Queue: 4, Journal: j})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -114,7 +114,7 @@ func TestServeJournalErrorStatus(t *testing.T) {
 	j := obs.NewJournal(&buf,
 		obs.WithJournalClock(func() int64 { return 0 }),
 		obs.WithAllocProbe(func() int64 { return 0 }))
-	s := New(Options{Workers: 1, Queue: 1, Journal: j})
+	s := mustServer(t, Options{Workers: 1, Queue: 1, Journal: j})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

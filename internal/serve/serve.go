@@ -295,18 +295,6 @@ func NewServer(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// New builds the service with the pre-Normalize constructor contract.
-//
-// Deprecated: New predates Options.Normalize and cannot report invalid
-// option combinations (it panics on them instead). Use NewServer.
-func New(opt Options) *Server {
-	s, err := NewServer(opt)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // worker drains the task queue. Tasks whose request context is already
 // canceled are skipped: their handler has stopped waiting.
 func (s *Server) worker() {

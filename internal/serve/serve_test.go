@@ -100,7 +100,7 @@ func blockPool(t *testing.T, s *Server) (release func()) {
 // cache serves repeats, and the serve_* metrics are populated.
 func TestServeEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 4, Queue: 2, CacheSize: 8, Obs: reg})
+	s := mustServer(t, Options{Workers: 4, Queue: 2, CacheSize: 8, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -238,7 +238,7 @@ func TestServeEndToEnd(t *testing.T) {
 // TestServeFitDeterminism: the bytes served by /v1/fit are bit-identical
 // to a library fit of the same inputs written with SaveModel.
 func TestServeFitDeterminism(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 4})
+	s := mustServer(t, Options{Workers: 2, Queue: 4})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -279,7 +279,7 @@ func TestServeFitDeterminism(t *testing.T) {
 // TestServeShutdownDrains: Shutdown rejects new requests with 503 but
 // waits for admitted work to finish.
 func TestServeShutdownDrains(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 2})
+	s := mustServer(t, Options{Workers: 2, Queue: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -324,7 +324,7 @@ func TestServeShutdownDrains(t *testing.T) {
 // TestServeBadRequests: malformed inputs answer 400 with field-naming
 // messages; none of them consume pool capacity.
 func TestServeBadRequests(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 1})
+	s := mustServer(t, Options{Workers: 1, Queue: 1})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -365,7 +365,7 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeScenarioRun: the service accepts the scenario envelope and
 // returns run averages.
 func TestServeScenarioRun(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 2})
+	s := mustServer(t, Options{Workers: 2, Queue: 2})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -399,7 +399,7 @@ func TestServeScenarioRun(t *testing.T) {
 // fitCall without consuming queue or worker capacity.
 func TestServeFitCoalescing(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 1, Queue: 4, Obs: reg})
+	s := mustServer(t, Options{Workers: 1, Queue: 4, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -470,7 +470,7 @@ func TestServeFitCoalescing(t *testing.T) {
 // byte-identical to the library's RunContext on the same scenario.
 func TestServeScenarioFork(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 2, Queue: 2, Obs: reg})
+	s := mustServer(t, Options{Workers: 2, Queue: 2, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -558,7 +558,7 @@ func TestModelCacheLRU(t *testing.T) {
 // TestServeRequestTimeout: a deadline shorter than the run yields 504 and
 // the simulation aborts rather than running to completion.
 func TestServeRequestTimeout(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 1, RequestTimeout: time.Millisecond})
+	s := mustServer(t, Options{Workers: 1, Queue: 1, RequestTimeout: time.Millisecond})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

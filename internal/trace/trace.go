@@ -121,20 +121,9 @@ func (c *CSVSink) writeRow(s *sampling.Sample) {
 	}
 }
 
-// Consume implements sampling.Sink. The first error sticks; later samples
+// ConsumeBatch implements sampling.Sink: one step's rows per dispatch, all
+// through the same reused buffer. The first error sticks; later samples
 // are dropped.
-func (c *CSVSink) Consume(s sampling.Sample) {
-	if c.err != nil {
-		return
-	}
-	c.header()
-	if c.err == nil {
-		c.writeRow(&s)
-	}
-}
-
-// ConsumeBatch implements sampling.BatchSink: one step's rows per
-// dispatch, all through the same reused buffer.
 func (c *CSVSink) ConsumeBatch(batch []sampling.Sample) {
 	if c.err != nil {
 		return

@@ -32,7 +32,6 @@ type Engine struct {
 	shards     int
 	migrations []*liveMigration
 	sinks      []sampling.Sink
-	bsinks     []sampling.BatchSink
 	ssinks     []sampling.ShardedBatchSink // nil where the sink has no sharded path
 	ssinkOn    []bool                      // sink accepted the current sharded step
 	shardStep  bool                        // this step delivers shard segments from phaseEmit
@@ -212,14 +211,12 @@ func (e *Engine) Now() float64 { return e.now }
 
 // AttachSink subscribes s to the engine's per-step sample stream. Sinks are
 // invoked synchronously at the end of every step and must not mutate the
-// cluster topology from inside Consume; controllers buffer their actions
-// and apply them between Advance calls.
+// cluster topology from inside ConsumeBatch; controllers buffer their
+// actions and apply them between Advance calls.
 //
 // Delivery is batched: each step the engine assembles one reusable
-// []Sample (arena order) and calls the sink's ConsumeBatch when it
-// implements sampling.BatchSink, falling back to a per-sample adapter
-// otherwise (resolved here, once, at attach time). The batch slice is the
-// engine's: sinks must not retain it across calls.
+// []Sample (arena order) and calls the sink's ConsumeBatch. The batch
+// slice is the engine's: sinks must not retain it across calls.
 //
 // A sink that also implements sampling.ShardedBatchSink and the engine is
 // stepping with Shards > 1 gets the sharded protocol instead: each worker
@@ -233,8 +230,7 @@ func (e *Engine) AttachSink(s sampling.Sink) {
 		return
 	}
 	e.sinks = append(e.sinks, s)
-	e.bsinks = append(e.bsinks, sampling.AsBatch(s))
-	ss, _ := sampling.AsShardedBatch(s)
+	ss, _ := s.(sampling.ShardedBatchSink)
 	e.ssinks = append(e.ssinks, ss)
 }
 
@@ -244,7 +240,6 @@ func (e *Engine) DetachSink(s sampling.Sink) {
 	for i, k := range e.sinks {
 		if k == s {
 			e.sinks = append(e.sinks[:i], e.sinks[i+1:]...)
-			e.bsinks = append(e.bsinks[:i], e.bsinks[i+1:]...)
 			e.ssinks = append(e.ssinks[:i], e.ssinks[i+1:]...)
 			return
 		}
@@ -386,7 +381,7 @@ func (e *Engine) step() {
 	}
 	e.now += e.Step
 
-	if len(e.bsinks) > 0 {
+	if len(e.sinks) > 0 {
 		// A migration completed this step moves its guest's row to the
 		// destination PM, so re-derive the layout before slicing the batch.
 		e.ensureLayout()
@@ -819,7 +814,7 @@ func (e *Engine) dispatchMixed() {
 	b := e.sc.batch
 	e.obs.batchSamples.Observe(int64(len(b)))
 	instr := e.obs.reg.Enabled()
-	for i, k := range e.bsinks {
+	for i, k := range e.sinks {
 		var d0 int64
 		if instr {
 			d0 = e.obs.reg.Now()
@@ -841,14 +836,14 @@ func (e *Engine) dispatch() {
 	b := e.sc.batch
 	e.obs.batchSamples.Observe(int64(len(b)))
 	if e.obs.reg.Enabled() {
-		for _, k := range e.bsinks {
+		for _, k := range e.sinks {
 			d0 := e.obs.reg.Now()
 			k.ConsumeBatch(b)
 			e.obs.dispatchNanos.Observe(e.obs.reg.Now() - d0)
 		}
 		return
 	}
-	for _, k := range e.bsinks {
+	for _, k := range e.sinks {
 		k.ConsumeBatch(b)
 	}
 }

@@ -11,7 +11,6 @@ import (
 // so retaining requires a copy).
 type recordSink struct{ samples []sampling.Sample }
 
-func (r *recordSink) Consume(s sampling.Sample)        { r.samples = append(r.samples, s) }
 func (r *recordSink) ConsumeBatch(b []sampling.Sample) { r.samples = append(r.samples, b...) }
 
 // shardFixture builds a fleet that exercises every path the sharded step
@@ -204,5 +203,4 @@ func TestShardedStepAllocationFree(t *testing.T) {
 // countSink tallies delivered samples without retaining or allocating.
 type countSink struct{ n int }
 
-func (c *countSink) Consume(sampling.Sample)          {}
 func (c *countSink) ConsumeBatch(b []sampling.Sample) { c.n += len(b) }

@@ -146,7 +146,7 @@ func (e *Engine) finishProfileStep(instr bool) {
 func (e *Engine) finishJournalStep(jt0 int64) {
 	e.jw.dur += e.jr.Now() - jt0
 	e.jw.steps++
-	if len(e.bsinks) > 0 {
+	if len(e.sinks) > 0 {
 		e.jw.samples += e.lay.nBatch
 	}
 	if e.jw.steps < e.jwin {

@@ -117,7 +117,6 @@ func TestEngineJournalDefaults(t *testing.T) {
 // so it counts with an atomic.
 type shardedNopSink struct{ segs atomic.Int64 }
 
-func (s *shardedNopSink) Consume(sampling.Sample)                 {}
 func (s *shardedNopSink) ConsumeBatch([]sampling.Sample)          {}
 func (s *shardedNopSink) BeginShardStep(sampling.ShardShape) bool { return true }
 func (s *shardedNopSink) ConsumeShard(int, []sampling.Sample)     { s.segs.Add(1) }

@@ -710,53 +710,38 @@ func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data)
 // attached Sinks (Engine.AttachSink). MeasurementScript.Attach inserts the
 // decimate -> filter -> meter stages so downstream sinks see *measured*
 // samples at the script's interval. Delivery is batched: the engine hands
-// each step to BatchSink implementations as one reusable []Sample; plain
-// Sinks keep working via the PerSample adapter. See DESIGN.md for the
-// batch contract and a custom-sink walkthrough.
+// each step to every Sink's ConsumeBatch as one reusable []Sample. See
+// DESIGN.md for the batch contract and a custom-sink walkthrough.
 
 // Sample is one per-domain utilization reading flowing through the
 // pipeline.
 type Sample = sampling.Sample
 
-// Sink consumes samples; implement it to observe a simulation online.
+// Sink consumes one step's samples per ConsumeBatch dispatch; implement it
+// to observe a simulation online. The batch slice is reused by the
+// producer and must not be retained.
 type Sink = sampling.Sink
-
-// BatchSink consumes one step's samples per dispatch. The batch slice is
-// reused by the producer and must not be retained.
-type BatchSink = sampling.BatchSink
-
-// PerSample adapts a scalar Sink to BatchSink by unrolling batches.
-type PerSample = sampling.PerSample
-
-// AsBatch returns a sink's native batch path, or a PerSample adapter.
-func AsBatch(s Sink) BatchSink { return sampling.AsBatch(s) }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc = sampling.SinkFunc
 
 // ShardedBatchSink is the opt-in contract for sinks that consume a sharded
 // engine's step as concurrent PM-disjoint segments with a deterministic
 // ordered merge (BeginShardStep / ConsumeShard / FinishShardStep). The
-// built-in pipeline stages — SampleFilter (as a pointer), Decimate's
-// decimator, StatSink, CDF sinks, SampleCollector, StreamAggregator —
-// implement it; serial sinks keep working unchanged via the merged-batch
-// fallback. See DESIGN.md §13 for the protocol and the rules for writing
-// one.
+// built-in pipeline stages — *SampleFilter, Decimate's decimator,
+// StatSink, CDF sinks, SampleCollector, StreamAggregator, Fanout —
+// implement it; other sinks keep working unchanged via the merged-batch
+// fallback. Check for it with a type assertion. See DESIGN.md §13 for the
+// protocol and the rules for writing one.
 type ShardedBatchSink = sampling.ShardedBatchSink
 
 // ShardShape describes one sharded step to a ShardedBatchSink.
 type ShardShape = sampling.ShardShape
 
-// AsShardedBatch returns a sink's sharded path, if it has one.
-func AsShardedBatch(s Sink) (ShardedBatchSink, bool) { return sampling.AsShardedBatch(s) }
-
-// ShardedFanout delivers to several sinks like Fanout while propagating
+// Fanout delivers every step to several sinks in order, propagating
 // sharded delivery to the members that support it; the rest are fed the
 // same stream serially at the merge.
-type ShardedFanout = sampling.ShardedFanout
+type Fanout = sampling.Fanout
 
-// NewShardedFanout builds a ShardedFanout over the given sinks.
-func NewShardedFanout(sinks ...Sink) *ShardedFanout { return sampling.NewShardedFanout(sinks...) }
+// NewFanout builds a Fanout over the given sinks.
+func NewFanout(sinks ...Sink) *Fanout { return sampling.NewFanout(sinks...) }
 
 // SampleKind distinguishes guest, Domain-0, hypervisor and host samples.
 type SampleKind = sampling.Kind
@@ -769,7 +754,7 @@ const (
 	KindHost       = sampling.KindHost
 )
 
-// SampleFilter forwards only samples matching Keep.
+// SampleFilter forwards only samples matching Keep; attach it as a pointer.
 type SampleFilter = sampling.Filter
 
 // Decimate forwards every n-th simulation step to next.
