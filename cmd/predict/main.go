@@ -35,7 +35,7 @@ func main() {
 		traceFile = flag.String("trace", "", "replay a recorded trace CSV (from cmd/xensim) instead of simulating")
 		plot      = flag.Bool("plot", false, "draw ASCII CDF charts instead of numeric tables")
 		modelFile = flag.String("model", "", "load a fitted model JSON (from cmd/fitmodel -out) instead of training")
-		warmup    = flag.Int("warmup", 0, "settle steps before each measured run (0 selects the default 5, negative disables); the warmed prefix is built once and forked per client count")
+		warmup    = flag.Int("warmup", 0, "settle steps before each measured run (0 selects the default 5, negative disables); each client count builds and settles its own deployment")
 	)
 	app.Parse()
 

@@ -86,7 +86,7 @@ func (f Figure) Render() string {
 
 // MicroScenario describes one micro-benchmark campaign: N identical VMs on
 // one PM running the same Table II workload level, measured by the script
-// at 1 Hz.
+// at 1 Hz from the first simulated second, with no settle phase.
 type MicroScenario struct {
 	N        int
 	Kind     workload.Kind
@@ -99,12 +99,6 @@ type MicroScenario struct {
 	// co-located idle VM instead of an external host (Figure 5). Only the
 	// first VM sends.
 	IntraPMTarget bool
-	// WarmupSteps runs a settle phase before the script attaches, served
-	// from the warm-prefix cache: the warmed state is built once per
-	// (topology, workload, warm-up, seed) and forked into each run. The
-	// historical micro campaigns never warmed up, so 0 — the zero value —
-	// keeps that behavior and the existing goldens; negative also means 0.
-	WarmupSteps int
 	// Noise overrides the measurement-tool noise profile (nil selects
 	// monitor.DefaultNoise). The robustness experiment uses this to inject
 	// tool glitches.
@@ -138,33 +132,8 @@ func RunMicroContext(ctx context.Context, sc MicroScenario) (monitor.Measurement
 	if samples <= 0 {
 		samples = 120
 	}
-	warmup := effectiveWarmup(sc.WarmupSteps, 0)
-	var e *xen.Engine
-	var pm *xen.PM
-	if warmup > 0 {
-		// Warmed run: fork the settled world from the prefix cache. The
-		// warm-up steps run once per unique prefix, on the (uninstrumented)
-		// capture engine; the forked engine below carries the scenario's
-		// registry for the measured phase.
-		cell := microPrefixCell(sc, warmup)
-		src, _, err := prefixCache.GetOrBuild(cell.Key, func() (*xen.ForkSource, error) {
-			return xen.NewForkSource(cell.Build, xen.DefaultCalibration(), cell.Seed, cell.Warmup)
-		})
-		if err != nil {
-			return monitor.Measurement{}, nil, err
-		}
-		fe, data, err := src.Fork()
-		if err != nil {
-			return monitor.Measurement{}, nil, err
-		}
-		e, pm = fe, data.(*xen.PM)
-	} else {
-		b, err := microBuild(sc)()
-		if err != nil {
-			return monitor.Measurement{}, nil, err
-		}
-		e, pm = xen.NewEngine(b.Cluster, xen.DefaultCalibration(), sc.Seed), b.Data.(*xen.PM)
-	}
+	cl, pm := microBuild(sc)
+	e := xen.NewEngine(cl, xen.DefaultCalibration(), sc.Seed)
 	defer e.Close()
 	noise := monitor.DefaultNoise()
 	if sc.Noise != nil {
@@ -180,53 +149,27 @@ func RunMicroContext(ctx context.Context, sc MicroScenario) (monitor.Measurement
 	return monitor.Average(series)[0], series, nil
 }
 
-// microBuild returns the deterministic builder of a micro-benchmark world:
-// N identical VMs on one PM running the scenario's Table II workload. The
-// jittered generators are stateful, so they ride forks as Aux. Data is the
-// measured PM.
-func microBuild(sc MicroScenario) func() (xen.ForkBuild, error) {
-	return func() (xen.ForkBuild, error) {
-		cl := xen.NewCluster()
-		pm := cl.AddPM("pm1")
-		names := make([]string, sc.N)
-		for i := 0; i < sc.N; i++ {
-			names[i] = fmt.Sprintf("vm%d", i+1)
-			cl.AddVM(pm, names[i], 512)
-		}
-		b := xen.ForkBuild{Cluster: cl, Data: pm}
-		attach := func(name string, src xen.Source) {
-			vm, _ := cl.LookupVM(name)
-			vm.SetSource(src)
-			if f, ok := src.(xen.Forkable); ok {
-				b.Aux = append(b.Aux, f)
-			}
-		}
-		opt := workload.Options{JitterRel: 0.01, Seed: sc.Seed + 17}
-		if sc.IntraPMTarget {
-			opt.BWTarget = names[1]
-			attach(names[0], workload.NewLevel(sc.Kind, sc.LevelIdx, opt))
-		} else {
-			for i := 0; i < sc.N; i++ {
-				o := opt
-				o.Seed = sc.Seed + 17 + int64(i)
-				attach(names[i], workload.NewLevel(sc.Kind, sc.LevelIdx, o))
-			}
-		}
-		return b, nil
+// microBuild constructs a micro-benchmark world: N identical VMs on one PM
+// running the scenario's Table II workload. It returns the measured PM.
+func microBuild(sc MicroScenario) (*xen.Cluster, *xen.PM) {
+	cl := xen.NewCluster()
+	pm := cl.AddPM("pm1")
+	vms := make([]*xen.VM, sc.N)
+	for i := range vms {
+		vms[i] = cl.AddVM(pm, fmt.Sprintf("vm%d", i+1), 512)
 	}
-}
-
-// microPrefixCell content-addresses a micro scenario's warmed prefix:
-// everything the settled state depends on, nothing the measured phase owns
-// (Samples, Noise and the script seed stay out of the key).
-func microPrefixCell(sc MicroScenario, warmup int) prefixCell {
-	return prefixCell{
-		Key: fmt.Sprintf("micro|v1|n=%d|kind=%d|lvl=%d|intra=%t|warmup=%d|seed=%d",
-			sc.N, sc.Kind, sc.LevelIdx, sc.IntraPMTarget, warmup, sc.Seed),
-		Seed:   sc.Seed,
-		Warmup: warmup,
-		Build:  microBuild(sc),
+	opt := workload.Options{JitterRel: 0.01, Seed: sc.Seed + 17}
+	if sc.IntraPMTarget {
+		opt.BWTarget = vms[1].Name
+		vms[0].SetSource(workload.NewLevel(sc.Kind, sc.LevelIdx, opt))
+	} else {
+		for i, vm := range vms {
+			o := opt
+			o.Seed = sc.Seed + 17 + int64(i)
+			vm.SetSource(workload.NewLevel(sc.Kind, sc.LevelIdx, o))
+		}
 	}
+	return cl, pm
 }
 
 // IsSaturatedRun reports whether a run-averaged measurement shows the

@@ -17,11 +17,9 @@ var obsReg atomic.Pointer[obs.Registry]
 // SetObservability installs reg as the package-wide registry used by
 // experiment runs that were not given one explicitly. Pass nil to disable.
 // Safe for concurrent use; campaigns already running keep the registry
-// they resolved at start. The warm-prefix cache's fork_hits/misses/bytes
-// metrics land on the same registry.
+// they resolved at start.
 func SetObservability(reg *obs.Registry) {
 	obsReg.Store(reg)
-	prefixCache.Instrument(reg)
 }
 
 // observability resolves an explicit registry against the package default.
@@ -35,14 +33,13 @@ func observability(explicit *obs.Registry) *obs.Registry {
 // jrnl is the package-wide run journal (nil — the default — disables it).
 var jrnl atomic.Pointer[obs.Journal]
 
-// SetJournal installs j as the process's run journal: campaign grid cells
-// and model fits in this package emit wide events to it, the warm-prefix
-// cache reports its builds and hits, and — via xen.SetDefaultJournal —
-// every engine constructed from here on emits step-window events. Pass nil
-// to disable. This is the one call a cmd's -journal flag makes.
+// SetJournal installs j as the process's run journal: prediction cells
+// and model fits in this package emit wide events to it, and — via
+// xen.SetDefaultJournal — every engine constructed from here on emits
+// step-window events. Pass nil to disable. This is the one call a cmd's
+// -journal flag makes.
 func SetJournal(j *obs.Journal) {
 	jrnl.Store(j)
-	prefixCache.SetJournal(j)
 	xen.SetDefaultJournal(j)
 }
 
@@ -57,4 +54,12 @@ func SetProfiler(p *obs.ShardProfiler) {
 // journal returns the package-wide run journal (nil when disabled).
 func journal() *obs.Journal {
 	return jrnl.Load()
+}
+
+// errText renders an error for a journal field ("" for nil).
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

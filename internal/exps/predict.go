@@ -7,6 +7,7 @@ import (
 
 	"virtover/internal/core"
 	"virtover/internal/monitor"
+	"virtover/internal/obs"
 	"virtover/internal/rubis"
 	"virtover/internal/stats"
 	"virtover/internal/xen"
@@ -72,11 +73,12 @@ func PredictionExperimentContext(ctx context.Context, model *core.Model, sets in
 }
 
 // PredictionExperimentOpts is the options-struct form of the experiment,
-// and the one that exposes WarmupSteps. Each client count's deployment
-// prefix (Figure 6 topology + RUBiS apps + warm-up) is built at most once
-// via the warm-prefix cache and forked into the measured run, so repeated
-// experiments over the same deployment skip construction and settle
-// entirely; forked runs are byte-identical to from-scratch ones.
+// and the one that exposes WarmupSteps. Every client count is its own
+// independent run, as in the paper: the Figure 6 deployment is built,
+// settled for the warm-up steps and measured on one engine, with the
+// client counts running in parallel. Cancellation reaches the warm-up as
+// well as the measured phase. Each run emits one journal "cell" event,
+// flushed in client-count order.
 func PredictionExperimentOpts(ctx context.Context, model *core.Model, opt PredictionOptions) ([]PredictionResult, error) {
 	if model == nil {
 		return nil, fmt.Errorf("exps: PredictionExperiment needs a model")
@@ -90,83 +92,92 @@ func PredictionExperimentOpts(ctx context.Context, model *core.Model, opt Predic
 	if len(opt.Clients) == 0 {
 		opt.Clients = DefaultClientCounts()
 	}
-	warmup := effectiveWarmup(opt.WarmupSteps, DefaultWarmupSteps)
-	// One independent deployment per client count: a grid of
-	// single-cell prefix groups, forked and measured in parallel.
-	cells := make([]prefixCell, len(opt.Clients))
-	for ci, clientCount := range opt.Clients {
-		seed := opt.Seed + int64(ci)*7919
-		cells[ci] = rubisPrefixCell(opt.Sets, clientCount, warmup, seed)
-	}
+	warmup := effectiveWarmup(opt.WarmupSteps)
 	out := make([]PredictionResult, len(opt.Clients))
-	err := runForkGridCtx(ctx, cells, func(jctx context.Context, ci int, e *xen.Engine, data any) error {
-		d := data.(*rubisDeployment)
-		res, rerr := measurePrediction(jctx, model, e, d, opt.Clients[ci], opt.Duration, cells[ci].Seed)
-		if rerr != nil {
-			return rerr
+	// Each run stages its "cell" event into its own journal lane; flushing
+	// after the barrier appends them in client-count order, so a parallel
+	// experiment's journal reads the same as a serial one.
+	jr := journal()
+	st := jr.NewStage(len(opt.Clients))
+	err := runParallelCtx(ctx, len(opt.Clients), func(jctx context.Context, ci int) error {
+		var ct0, ca0 int64
+		if jr.Enabled() {
+			ct0, ca0 = jr.Now(), jr.AllocBytes()
 		}
+		seed := opt.Seed + int64(ci)*7919
+		res, rerr := runPrediction(jctx, model, opt.Sets, opt.Clients[ci], warmup, opt.Duration, seed)
 		out[ci] = res
-		return nil
+		st.Emit(ci, &obs.Event{Type: "cell", Step: int64(ci + 1),
+			DurNanos: jr.Now() - ct0, AllocBytes: jr.AllocBytes() - ca0, Err: errText(rerr)})
+		return rerr
 	})
+	st.Flush()
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// rubisDeployment is the builder payload of a Figure 6 prefix: the two PM
-// handles the monitor script measures.
+// effectiveWarmup resolves a WarmupSteps option: 0 (the zero value)
+// selects DefaultWarmupSteps, negative disables the warm-up entirely.
+func effectiveWarmup(w int) int {
+	switch {
+	case w == 0:
+		return DefaultWarmupSteps
+	case w < 0:
+		return 0
+	default:
+		return w
+	}
+}
+
+// rubisDeployment holds the two PM handles of a Figure 6 deployment that
+// the monitor script measures.
 type rubisDeployment struct {
 	pm1, pm2 *xen.PM
 }
 
-// rubisBuild returns the deterministic builder of the Figure 6 deployment:
-// `sets` RUBiS pairs, web tiers on PM1, DB tiers on PM2. The apps are
-// closed-loop (stateful), so they ride the fork as Aux.
-func rubisBuild(sets, clientCount int, seed int64) func() (xen.ForkBuild, error) {
-	return func() (xen.ForkBuild, error) {
-		cl := xen.NewCluster()
-		pm1 := cl.AddPM("pm1")
-		pm2 := cl.AddPM("pm2")
-		b := xen.ForkBuild{Cluster: cl, Data: &rubisDeployment{pm1: pm1, pm2: pm2}}
-		for i := 0; i < sets; i++ {
-			webName := fmt.Sprintf("web%d", i+1)
-			dbName := fmt.Sprintf("db%d", i+1)
-			web := cl.AddVM(pm1, webName, 256)
-			db := cl.AddVM(pm2, dbName, 256)
-			app := rubis.New(rubis.Config{
-				Profile: rubis.DefaultProfile(),
-				Clients: rubis.ConstClients(float64(clientCount)),
-				WebVM:   webName,
-				DBVM:    dbName,
-				Seed:    seed + int64(i)*101,
-			})
-			app.BindVMs(web, db)
-			web.SetSource(app.WebSource())
-			db.SetSource(app.DBSource())
-			b.Aux = append(b.Aux, app)
-		}
-		return b, nil
+// rubisBuild constructs the Figure 6 deployment: `sets` RUBiS pairs, web
+// tiers on PM1, DB tiers on PM2.
+func rubisBuild(sets, clientCount int, seed int64) (*xen.Cluster, *rubisDeployment) {
+	cl := xen.NewCluster()
+	d := &rubisDeployment{pm1: cl.AddPM("pm1"), pm2: cl.AddPM("pm2")}
+	for i := 0; i < sets; i++ {
+		webName := fmt.Sprintf("web%d", i+1)
+		dbName := fmt.Sprintf("db%d", i+1)
+		web := cl.AddVM(d.pm1, webName, 256)
+		db := cl.AddVM(d.pm2, dbName, 256)
+		app := rubis.New(rubis.Config{
+			Profile: rubis.DefaultProfile(),
+			Clients: rubis.ConstClients(float64(clientCount)),
+			WebVM:   webName,
+			DBVM:    dbName,
+			Seed:    seed + int64(i)*101,
+		})
+		app.BindVMs(web, db)
+		web.SetSource(app.WebSource())
+		db.SetSource(app.DBSource())
 	}
+	return cl, d
 }
 
-// rubisPrefixCell content-addresses one Figure 6 deployment prefix. The
-// key covers everything the warmed state depends on — topology shape,
-// workload parameters, warm-up length, seed — and nothing the measured
-// phase owns (duration, monitor noise); shard count is deliberately
-// excluded (traces are identical at every value).
-func rubisPrefixCell(sets, clientCount, warmup int, seed int64) prefixCell {
-	return prefixCell{
-		Key:    fmt.Sprintf("rubis|v1|sets=%d|clients=%d|warmup=%d|seed=%d", sets, clientCount, warmup, seed),
-		Seed:   seed,
-		Warmup: warmup,
-		Build:  rubisBuild(sets, clientCount, seed),
+// runRUBiS builds the Figure 6 deployment, settles it for warmup steps and
+// records duration seconds of both PMs with the monitor script.
+func runRUBiS(ctx context.Context, sets, clientCount, warmup, duration int, seed int64) ([][]monitor.Measurement, error) {
+	cl, d := rubisBuild(sets, clientCount, seed)
+	e := xen.NewEngine(cl, xen.DefaultCalibration(), seed)
+	defer e.Close()
+	if err := e.AdvanceContext(ctx, warmup); err != nil {
+		return nil, err
 	}
-}
-
-func measurePrediction(ctx context.Context, model *core.Model, e *xen.Engine, d *rubisDeployment, clientCount, duration int, seed int64) (PredictionResult, error) {
 	script := monitor.Script{IntervalSteps: 1, Samples: duration, Noise: monitor.DefaultNoise(), Seed: seed + 555}
-	series, err := script.RunContext(ctx, e, []*xen.PM{d.pm1, d.pm2})
+	return script.RunContext(ctx, e, []*xen.PM{d.pm1, d.pm2})
+}
+
+// runPrediction runs one client count and scores the model's PM
+// predictions against the measured PM utilizations.
+func runPrediction(ctx context.Context, model *core.Model, sets, clientCount, warmup, duration int, seed int64) (PredictionResult, error) {
+	series, err := runRUBiS(ctx, sets, clientCount, warmup, duration, seed)
 	if err != nil {
 		return PredictionResult{}, err
 	}
@@ -236,11 +247,9 @@ func EvaluateSeries(model *core.Model, series [][]monitor.Measurement) (map[stri
 }
 
 // RecordRUBiSTrace runs the Figure 6 deployment (sets of RUBiS pairs, web
-// tiers on PM1, DB tiers on PM2) at a fixed client count and returns the
-// raw measurement series, for writing to a trace file and replaying
-// offline. It shares its deployment prefix with the prediction experiment
-// (same content address), so recording a trace after — or before —
-// predicting over the same deployment warms up only once.
+// tiers on PM1, DB tiers on PM2) at a fixed client count, settled for
+// DefaultWarmupSteps, and returns the raw measurement series, for writing
+// to a trace file and replaying offline.
 func RecordRUBiSTrace(sets, clientCount, duration int, seed int64) ([][]monitor.Measurement, error) {
 	if sets < 1 {
 		return nil, fmt.Errorf("exps: RecordRUBiSTrace needs sets >= 1")
@@ -248,21 +257,7 @@ func RecordRUBiSTrace(sets, clientCount, duration int, seed int64) ([][]monitor.
 	if duration < 1 {
 		duration = 120
 	}
-	cell := rubisPrefixCell(sets, clientCount, DefaultWarmupSteps, seed)
-	src, _, err := prefixCache.GetOrBuild(cell.Key, func() (*xen.ForkSource, error) {
-		return xen.NewForkSource(cell.Build, xen.DefaultCalibration(), cell.Seed, cell.Warmup)
-	})
-	if err != nil {
-		return nil, err
-	}
-	e, data, err := src.Fork()
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	d := data.(*rubisDeployment)
-	script := monitor.Script{IntervalSteps: 1, Samples: duration, Noise: monitor.DefaultNoise(), Seed: seed + 555}
-	return script.Run(e, []*xen.PM{d.pm1, d.pm2})
+	return runRUBiS(context.Background(), sets, clientCount, DefaultWarmupSteps, duration, seed)
 }
 
 // PredictionFigures turns experiment results into the four CDF panels of

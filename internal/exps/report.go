@@ -24,8 +24,7 @@ type ReportConfig struct {
 	PlacementDuration int
 	// WarmupSteps is the settle phase of the trace-driven prediction runs:
 	// 0 selects DefaultWarmupSteps (the historical five), negative
-	// disables it. Warmed prefixes are cached and forked, so repeated
-	// reports re-settle nothing.
+	// disables it. Every prediction run settles on its own engine.
 	WarmupSteps int
 	// Extensions includes the beyond-the-paper studies.
 	Extensions bool

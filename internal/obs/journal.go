@@ -224,7 +224,7 @@ type Event struct {
 	MeanShardNanos int64   // mean shard time in the window
 	Straggler      int     // slowest shard id (with MaxShardNanos)
 	Name           string  // cell name, serve path
-	Prefix         string  // scenario prefix key (cell, fork)
+	Prefix         string  // scenario prefix key (fork)
 	Cache          string  // disposition: hit | miss | build | coalesced
 	Method         string  // fit method (ols | lms)
 	RequestID      string  // serve request correlation id

@@ -13,6 +13,8 @@
 package rubis
 
 import (
+	"sync"
+
 	"virtover/internal/simrand"
 	"virtover/internal/xen"
 )
@@ -118,6 +120,17 @@ type App struct {
 	servedReqs  float64
 	steps       int
 	stepSeconds float64
+
+	// The tiers' demands for the step at time stepT. Each tier reads the
+	// other's demand through the starvation feedback, so the first Demand
+	// call of a step computes both, in the order the engine samples the
+	// two VMs, and the other tier's call returns its share. A sharded
+	// engine samples the tiers from two goroutines at once; mu serializes
+	// them, and the result does not depend on which one comes first.
+	mu      sync.Mutex
+	stepped bool
+	stepT   float64
+	web, db xen.Demand
 }
 
 // New creates an application instance. Step seconds default to 1 (the
@@ -168,51 +181,81 @@ func (a *App) starvation() float64 {
 	return f
 }
 
-// WebSource returns the web tier's demand source. Calling its Demand also
-// advances the app's throughput accounting, so attach it to exactly one VM.
+// WebSource returns the web tier's demand source. Attach it to exactly
+// one VM: the first Demand call of a step, of either tier, advances the
+// app's throughput accounting.
 func (a *App) WebSource() xen.Source {
 	return xen.SourceFunc(func(t float64) xen.Demand {
-		p := a.cfg.Profile
-		x := a.OfferedThroughput(t)
-		x = a.rng.Jitter(x, p.JitterRel)
-		if x < 0 {
-			x = 0
-		}
-
-		// Throughput accounting: requests served this step are limited by
-		// the CPU the tiers actually got last step.
-		served := x * a.starvation()
-		a.offeredReqs += x * a.stepSeconds
-		a.servedReqs += served * a.stepSeconds
-		a.steps++
-
-		a.lastWebCPUDemand = p.WebCPUPerReq * x
-		return xen.Demand{
-			CPU:   a.lastWebCPUDemand,
-			MemMB: p.WebMemMB,
-			Flows: []xen.Flow{
-				{DstVM: "", Kbps: p.WebClientKbPerReq * served},        // to clients
-				{DstVM: a.cfg.DBVM, Kbps: p.WebQueryKbPerReq * served}, // to DB
-			},
-		}
+		web, _ := a.demands(t)
+		return web
 	})
 }
 
 // DBSource returns the database tier's demand source.
 func (a *App) DBSource() xen.Source {
 	return xen.SourceFunc(func(t float64) xen.Demand {
-		p := a.cfg.Profile
-		x := a.OfferedThroughput(t) * a.starvation()
-		a.lastDBCPUDemand = p.DBCPUPerReq * x
-		return xen.Demand{
-			CPU:      a.lastDBCPUDemand,
-			MemMB:    p.DBMemMB,
-			IOBlocks: p.DBIOPerReq * x,
-			Flows: []xen.Flow{
-				{DstVM: a.cfg.WebVM, Kbps: p.DBReplyKbPerReq * x},
-			},
-		}
+		_, db := a.demands(t)
+		return db
 	})
+}
+
+// demands returns both tiers' demands for the step at time t, computing
+// them on the step's first call. The tier the engine samples second sees
+// the first tier's demand of this step, exactly as in a serial step.
+func (a *App) demands(t float64) (web, db xen.Demand) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.stepped || t != a.stepT {
+		if a.webVM != nil && a.dbVM != nil && xen.SampledBefore(a.dbVM, a.webVM) {
+			a.db = a.dbDemand(t)
+			a.web = a.webDemand(t)
+		} else {
+			a.web = a.webDemand(t)
+			a.db = a.dbDemand(t)
+		}
+		a.stepped, a.stepT = true, t
+	}
+	return a.web, a.db
+}
+
+func (a *App) webDemand(t float64) xen.Demand {
+	p := a.cfg.Profile
+	x := a.OfferedThroughput(t)
+	x = a.rng.Jitter(x, p.JitterRel)
+	if x < 0 {
+		x = 0
+	}
+
+	// Throughput accounting: requests served this step are limited by
+	// the CPU the tiers actually got last step.
+	served := x * a.starvation()
+	a.offeredReqs += x * a.stepSeconds
+	a.servedReqs += served * a.stepSeconds
+	a.steps++
+
+	a.lastWebCPUDemand = p.WebCPUPerReq * x
+	return xen.Demand{
+		CPU:   a.lastWebCPUDemand,
+		MemMB: p.WebMemMB,
+		Flows: []xen.Flow{
+			{DstVM: "", Kbps: p.WebClientKbPerReq * served},        // to clients
+			{DstVM: a.cfg.DBVM, Kbps: p.WebQueryKbPerReq * served}, // to DB
+		},
+	}
+}
+
+func (a *App) dbDemand(t float64) xen.Demand {
+	p := a.cfg.Profile
+	x := a.OfferedThroughput(t) * a.starvation()
+	a.lastDBCPUDemand = p.DBCPUPerReq * x
+	return xen.Demand{
+		CPU:      a.lastDBCPUDemand,
+		MemMB:    p.DBMemMB,
+		IOBlocks: p.DBIOPerReq * x,
+		Flows: []xen.Flow{
+			{DstVM: a.cfg.WebVM, Kbps: p.DBReplyKbPerReq * x},
+		},
+	}
 }
 
 // Stats summarizes the run so far.

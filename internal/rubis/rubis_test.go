@@ -1,7 +1,9 @@
 package rubis
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"virtover/internal/xen"
@@ -194,5 +196,49 @@ func TestNilClientsDefaultsToZero(t *testing.T) {
 	a := New(Config{Profile: DefaultProfile()})
 	if a.OfferedThroughput(5) != 0 {
 		t.Error("nil Clients should mean zero load")
+	}
+}
+
+// The tiers feed each other's demand within a step, so a sharded engine
+// that samples them from two goroutines must reproduce the serial step,
+// whichever tier the engine samples first.
+func TestShardedStepMatchesSerial(t *testing.T) {
+	run := func(dbFirst bool, shards int) (Stats, []float64) {
+		cl := xen.NewCluster()
+		p1 := cl.AddPM("pm1")
+		p2 := cl.AddPM("pm2")
+		webPM, dbPM := p1, p2
+		if dbFirst {
+			webPM, dbPM = p2, p1
+		}
+		web := cl.AddVM(webPM, "web", 256)
+		db := cl.AddVM(dbPM, "db", 256)
+		for i, pm := range []*xen.PM{p1, p1, p2, p2} {
+			hog := cl.AddVM(pm, fmt.Sprintf("hog%d", i+1), 256)
+			hog.SetSource(xen.SourceFunc(func(float64) xen.Demand { return xen.Demand{CPU: 95} }))
+		}
+		app := New(Config{Profile: HeavyProfile(), Clients: ConstClients(600), WebVM: "web", DBVM: "db", Seed: 3})
+		app.BindVMs(web, db)
+		web.SetSource(app.WebSource())
+		db.SetSource(app.DBSource())
+		e := xen.NewEngine(cl, xen.DefaultCalibration(), 1)
+		defer e.Close()
+		e.SetShards(shards)
+		var utils []float64
+		for i := 0; i < 60; i++ {
+			e.Advance(1)
+			utils = append(utils, web.Util().CPU, db.Util().CPU)
+		}
+		return app.Stats(), utils
+	}
+	for _, dbFirst := range []bool{false, true} {
+		st1, u1 := run(dbFirst, 1)
+		st2, u2 := run(dbFirst, 2)
+		if st1 != st2 || !reflect.DeepEqual(u1, u2) {
+			t.Errorf("dbFirst=%v: 2-shard run diverges from the serial one", dbFirst)
+		}
+		if st1.ServedReqs >= st1.OfferedReqs {
+			t.Errorf("dbFirst=%v: no starvation, the test exercises nothing", dbFirst)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -159,7 +160,8 @@ func Write(w io.Writer, series [][]monitor.Measurement) error {
 
 // Read decodes a CSV produced by Write back into a measurement series.
 // Samples are grouped by time value in file order; PMs within a sample by
-// first appearance.
+// first appearance. Times must be finite, and PM and domain names may not
+// contain a carriage return.
 func Read(r io.Reader) ([][]monitor.Measurement, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -186,6 +188,9 @@ func Read(r io.Reader) ([][]monitor.Measurement, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d time: %w", i+2, err)
 		}
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("trace: row %d time %q is not finite", i+2, rec[0])
+		}
 		var vals [4]float64
 		for j := 0; j < 4; j++ {
 			vals[j], err = strconv.ParseFloat(rec[3+j], 64)
@@ -195,6 +200,11 @@ func Read(r io.Reader) ([][]monitor.Measurement, error) {
 		}
 		v := units.V(vals[0], vals[1], vals[2], vals[3])
 		pm, domain := rec[1], rec[2]
+		// A quoted CR LF reads back as LF, so such a name would not
+		// survive a Write/Read round trip.
+		if strings.ContainsRune(pm, '\r') || strings.ContainsRune(domain, '\r') {
+			return nil, fmt.Errorf("trace: row %d: pm or domain name contains a carriage return", i+2)
+		}
 
 		if !haveTime || t != curTime {
 			series = append(series, nil)

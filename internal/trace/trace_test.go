@@ -92,6 +92,13 @@ func TestReadBadNumbers(t *testing.T) {
 	if _, err := Read(strings.NewReader(csv2)); err == nil {
 		t.Error("bad value should fail")
 	}
+	// NaN != NaN would open a new sample on every row.
+	for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+		csv3 := "time,pm,domain,cpu,mem,io,bw\n" + bad + ",pm1,vm1,1,2,3,4\n" + bad + ",pm1,host,1,2,3,4\n"
+		if _, err := Read(strings.NewReader(csv3)); err == nil {
+			t.Errorf("non-finite time %s should fail", bad)
+		}
+	}
 }
 
 func TestWriteDeterministicVMOrder(t *testing.T) {

@@ -2,21 +2,22 @@ package xen
 
 import "fmt"
 
-// Warm-start snapshot forking. Every figure in the paper's evaluation is a
-// grid sweep: the same fleet, workload mix and warm-up settle phase
-// re-simulated for each (placement, co-location, method) cell. A
-// ForkSource builds that shared prefix ONCE — construct the cluster, warm
-// the engine, capture its EngineState — and then stamps out per-cell
-// engines by rebuilding the (cheap, deterministic) topology and restoring
-// the captured state into it. Because capture/restore is bit-exact and the
-// engine's stepping is shard-deterministic, a forked cell's trace is
-// byte-identical to the same cell simulated from scratch, at every shard
-// count and GOMAXPROCS (make fork-determinism pins this).
+// Warm-start snapshot forking. A scenario run that settles before it
+// measures repeats the same construction and warm-up every time it is
+// requested. A ForkSource builds that prefix ONCE — construct the cluster,
+// warm the engine, capture its EngineState — and then stamps out engines
+// by rebuilding the (cheap, deterministic) topology and restoring the
+// captured state into it. Because capture/restore is bit-exact and the
+// engine's stepping is shard-deterministic, a forked run's trace is
+// byte-identical to the same run simulated from scratch, at every shard
+// count and GOMAXPROCS (make fork-determinism pins this). The estimation
+// service's scenario cache is the user: warmed scenarios are keyed by
+// scenario.PrefixKey and run with Scenario.RunForked.
 
-// Forkable is implemented by stateful workload sources and applications
-// whose evolving state lives outside the engine — closed-loop RUBiS apps,
-// jittered lookbusy generators — and must travel with an EngineState for a
-// fork to replay the exact continuation. ForkState captures the state (a
+// Forkable is implemented by stateful workload sources whose evolving
+// state lives outside the engine — the jittered lookbusy generators of
+// internal/workload — and must travel with an EngineState for a fork to
+// replay the exact continuation. ForkState captures the state (a
 // self-contained value; implementations return something cheap like a
 // simrand.State), RestoreForkState rewinds a freshly built instance to it.
 // RestoreForkState must accept exactly the values its own ForkState
@@ -27,7 +28,7 @@ type Forkable interface {
 	RestoreForkState(any)
 }
 
-// ForkBuild is one deterministic construction of a campaign's world: the
+// ForkBuild is one deterministic construction of a run's world: the
 // cluster (topology, VM configs, attached workload sources), the stateful
 // sources that need capture/restore alongside the engine (Aux, in a fixed
 // order), and an arbitrary caller payload (Data) handed back verbatim from
@@ -46,22 +47,21 @@ type ForkBuild struct {
 	Warm func(e *Engine, warmup int) error
 }
 
-// ForkSource is a warmed campaign prefix: one fully constructed engine
-// advanced through its warm-up, captured, and ready to be forked into any
-// number of per-cell engines. The builder function must be deterministic —
-// every call constructs an identical world (same topology in the same
-// order, same seeds, same source wiring) — because each Fork re-runs it;
+// ForkSource is a warmed prefix: one fully constructed engine advanced
+// through its warm-up, captured, and ready to be forked into any number of
+// engines. The builder function must be deterministic — every call
+// constructs an identical world (same topology in the same order, same
+// seeds, same source wiring) — because each Fork re-runs it;
 // only the *dynamic* state (EngineState plus Aux states) is carried over
 // from the warmed original. A ForkSource is immutable after construction
 // and safe for concurrent Fork calls.
 type ForkSource struct {
-	build  func() (ForkBuild, error)
-	calib  Calibration
-	seed   int64
-	warmup int
-	state  EngineState
-	aux    []any
-	hash   uint64
+	build func() (ForkBuild, error)
+	calib Calibration
+	seed  int64
+	state EngineState
+	aux   []any
+	hash  uint64
 }
 
 // NewForkSource builds the prefix: it constructs the world once, runs
@@ -93,8 +93,7 @@ func NewForkSource(build func() (ForkBuild, error), calib Calibration, seed int6
 	} else {
 		e.Advance(warmup)
 	}
-	f := &ForkSource{build: build, calib: calib, seed: seed, warmup: warmup,
-		state: e.CaptureState()}
+	f := &ForkSource{build: build, calib: calib, seed: seed, state: e.CaptureState()}
 	f.hash = f.state.Hash()
 	if len(b.Aux) > 0 {
 		f.aux = make([]any, len(b.Aux))
@@ -105,7 +104,7 @@ func NewForkSource(build func() (ForkBuild, error), calib Calibration, seed int6
 	return f, nil
 }
 
-// Fork stamps out one cell: it rebuilds the world, restores the captured
+// Fork stamps out one engine: it rebuilds the world, restores the captured
 // engine and Aux state into it, and returns the warmed engine together
 // with the build's Data payload. The engine starts exactly where the
 // prefix's warm-up ended; the caller attaches its sinks, runs the measured
@@ -137,9 +136,6 @@ func (f *ForkSource) State() EngineState { return f.state.Clone() }
 // StateHash returns the FNV-1a digest of the captured state — the prefix's
 // determinism witness (equal for identically built prefixes).
 func (f *ForkSource) StateHash() uint64 { return f.hash }
-
-// WarmupSteps returns the number of settle steps the prefix ran.
-func (f *ForkSource) WarmupSteps() int { return f.warmup }
 
 // MemBytes approximates the prefix's cached footprint (the engine state;
 // Aux states are assumed small next to it).

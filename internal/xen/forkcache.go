@@ -7,7 +7,7 @@ import (
 	"virtover/internal/obs"
 )
 
-// ForkCache is a content-addressed cache of warmed campaign prefixes:
+// ForkCache is a content-addressed cache of warmed prefixes:
 // key -> *ForkSource, bounded LRU, with singleflight build collapsing so N
 // concurrent requests for the same not-yet-built prefix run one warm-up.
 //
@@ -168,23 +168,10 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// Add inserts (or refreshes) a prefix under key, evicting least recently
-// used entries beyond the bound.
-func (c *ForkCache) Add(key string, src *ForkSource) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addLocked(key, src)
-}
-
+// addLocked inserts a freshly built prefix, evicting least recently used
+// entries beyond the bound. The pending-build map guarantees key is not
+// cached yet.
 func (c *ForkCache) addLocked(key string, src *ForkSource) {
-	if el, ok := c.byKey[key]; ok {
-		ent := el.Value.(*forkEntry)
-		c.bytes += src.MemBytes() - ent.src.MemBytes()
-		ent.src = src
-		c.order.MoveToFront(el)
-		c.m.bytes.Set(int64(c.bytes))
-		return
-	}
 	c.byKey[key] = c.order.PushFront(&forkEntry{key: key, src: src})
 	c.bytes += src.MemBytes()
 	for c.order.Len() > c.max {

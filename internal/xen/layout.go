@@ -51,6 +51,30 @@ type layout struct {
 	slotLo, slotHi   []int32
 }
 
+// SampledBefore reports whether a serial engine step samples a's workload
+// demand before b's: guests are sampled in slot order, PMs in cluster
+// order and, on one PM, guests in PM.VMs order. Sources whose demands
+// depend on each other within a step use it to reproduce the serial order
+// when shards sample them in parallel. A removed VM is not sampled, so it
+// is never before another.
+func SampledBefore(a, b *VM) bool {
+	if a.pm == nil || b.pm == nil {
+		return false
+	}
+	if a.pm != b.pm {
+		return a.pm.id < b.pm.id
+	}
+	for _, vm := range a.pm.VMs {
+		switch vm {
+		case a:
+			return true
+		case b:
+			return false
+		}
+	}
+	return false
+}
+
 // noiseDraws returns the number of process-noise draws one step spends on
 // a PM hosting n guests, mirroring the exact draw order of the resolve
 // kernel: 4 per guest (CPU, mem, IO, BW) then Dom0 CPU, Dom0 mem,

@@ -204,3 +204,25 @@ func TestShardedStepAllocationFree(t *testing.T) {
 type countSink struct{ n int }
 
 func (c *countSink) ConsumeBatch(b []sampling.Sample) { c.n += len(b) }
+
+// SampledBefore follows the engine's slot order: PMs in cluster order,
+// then PM.VMs order, and a removed VM precedes nothing.
+func TestSampledBefore(t *testing.T) {
+	cl := NewCluster()
+	p1, p2 := cl.AddPM("p1"), cl.AddPM("p2")
+	a := cl.AddVM(p2, "a", 128)
+	b := cl.AddVM(p1, "b", 128)
+	c := cl.AddVM(p1, "c", 128)
+	for _, tc := range []struct {
+		x, y *VM
+		want bool
+	}{{b, a, true}, {a, b, false}, {b, c, true}, {c, b, false}} {
+		if got := SampledBefore(tc.x, tc.y); got != tc.want {
+			t.Errorf("SampledBefore(%s, %s) = %v, want %v", tc.x.Name, tc.y.Name, got, tc.want)
+		}
+	}
+	cl.RemoveVM("b")
+	if SampledBefore(b, c) || SampledBefore(c, b) {
+		t.Error("a removed VM is ordered against a placed one")
+	}
+}

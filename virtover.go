@@ -182,40 +182,6 @@ type EngineState = xen.EngineState
 // XenServer 6.2 testbed.
 func DefaultCalibration() Calibration { return xen.DefaultCalibration() }
 
-// ---- Warm-start forking ----
-//
-// Campaign grids re-simulate the same warmed prefix (topology + workloads
-// + settle phase) for every cell. A ForkSource builds that prefix once and
-// stamps out per-cell engines whose traces are byte-identical to
-// from-scratch runs; a ForkCache content-addresses warmed prefixes so
-// repeated campaigns re-settle nothing. See DESIGN.md §14.
-
-// Forkable is implemented by stateful workload sources whose state lives
-// outside the engine and must travel with a fork (RUBiS apps, jittered
-// generators).
-type Forkable = xen.Forkable
-
-// ForkBuild is one deterministic construction of a campaign's world.
-type ForkBuild = xen.ForkBuild
-
-// ForkSource is a warmed campaign prefix ready to fork per-cell engines;
-// it is immutable and safe for concurrent Fork calls.
-type ForkSource = xen.ForkSource
-
-// ForkCache is a bounded content-addressed LRU of warmed prefixes with
-// singleflight build collapsing.
-type ForkCache = xen.ForkCache
-
-// NewForkSource constructs the world once, warms it for warmup steps, and
-// captures the state every Fork restores.
-func NewForkSource(build func() (ForkBuild, error), calib Calibration, seed int64, warmup int) (*ForkSource, error) {
-	return xen.NewForkSource(build, calib, seed, warmup)
-}
-
-// NewForkCache creates a prefix cache bounded to max entries (<= 0 selects
-// 32).
-func NewForkCache(max int) *ForkCache { return xen.NewForkCache(max) }
-
 // ---- Workloads (Table II) ----
 
 // WorkloadKind identifies one of the paper's micro-benchmark families.
@@ -471,8 +437,8 @@ type PredictionOptions = exps.PredictionOptions
 const DefaultWarmupSteps = exps.DefaultWarmupSteps
 
 // PredictionExperimentOpts is PredictionExperiment with cancellation and
-// explicit options. Each client-count cell forks from a cached warmed
-// prefix; traces are byte-identical to from-scratch runs.
+// explicit options. Each client count is built, settled and measured as
+// its own run.
 func PredictionExperimentOpts(ctx context.Context, m *Model, opt PredictionOptions) ([]PredictionResult, error) {
 	return exps.PredictionExperimentOpts(ctx, m, opt)
 }
