@@ -799,3 +799,72 @@ func BenchmarkCDF(b *testing.B) {
 		c.Quantile(0.9)
 	}
 }
+
+var (
+	benchPaperCorpusOnce sync.Once
+	benchPaperSingle     []core.Sample
+	benchPaperCorpusErr  error
+)
+
+// BenchmarkBootstrapOLS times the report's coefficient bootstrap kernel:
+// B=100 percentile-bootstrap replicates of the Dom0 CPU regression on the
+// paper-size single-VM training corpus (120 samples per campaign).
+func BenchmarkBootstrapOLS(b *testing.B) {
+	benchPaperCorpusOnce.Do(func() {
+		benchPaperSingle, _, benchPaperCorpusErr = exps.TrainingCorpus(1, exps.PaperReportConfig(1).SamplesPerRun)
+	})
+	if benchPaperCorpusErr != nil {
+		b.Fatal(benchPaperCorpusErr)
+	}
+	xs := make([][]float64, len(benchPaperSingle))
+	ys := make([]float64, len(benchPaperSingle))
+	for i, s := range benchPaperSingle {
+		xs[i] = []float64{s.VMSum.CPU, s.VMSum.Mem, s.VMSum.IO, s.VMSum.BW}
+		ys[i] = s.Dom0CPU
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stats.BootstrapOLS(xs, ys, true, 100, 0.9, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompareOnWindow times one drift decision as a refit sweep makes
+// it: residual scoring of both models over a full 512-sample window plus
+// the B=200 mean bootstrap.
+func BenchmarkCompareOnWindow(b *testing.B) {
+	var scaled [core.NumTargets]core.Row
+	for t, row := range benchRefitRows {
+		for j, v := range row {
+			scaled[t][j] = 1.1 * v
+		}
+	}
+	incumbent := &core.Model{A: scaled}
+	challenger := &core.Model{A: benchRefitRows}
+	samples := benchRefitSamples(512, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CompareOnWindow(incumbent, challenger, samples, core.DriftOptions{B: 200, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFFT times one 256-point transform, the window size of the
+// elastic-scaling study's signature predictor.
+func BenchmarkFFT(b *testing.B) {
+	x := make([]complex128, 256)
+	for i := range x {
+		x[i] = complex(float64(i%24), 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stats.FFT(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -26,31 +26,19 @@ func readBenchFile(path string) (benchFile, error) {
 	return f, nil
 }
 
-// envMismatch compares the two files' "_env" pseudo-entries and returns a
-// description of the first differing key, or "" when the environments
-// match. A file without an _env entry (a pre-stamping baseline) matches
-// anything — there is nothing to contradict.
+// envMismatch compares the GOMAXPROCS the two files' benchmarks ran at
+// (their "_env" pseudo-entries) and returns a description of the
+// difference, or "" when they match. The CPU count is informational and
+// never a mismatch: a benchmark pinned to one P measures the same work on
+// any machine. A file without an _env entry (a pre-stamping baseline)
+// matches anything — there is nothing to contradict.
 func envMismatch(oldF, newF benchFile) string {
 	oldEnv, newEnv := oldF[envEntry], newF[envEntry]
 	if oldEnv == nil || newEnv == nil {
 		return ""
 	}
-	keys := map[string]bool{}
-	for k := range oldEnv {
-		keys[k] = true
-	}
-	for k := range newEnv {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		if oldEnv[k] != newEnv[k] {
-			return fmt.Sprintf("%s %g vs %g", k, oldEnv[k], newEnv[k])
-		}
+	if o, n := oldEnv["gomaxprocs"], newEnv["gomaxprocs"]; o != n {
+		return fmt.Sprintf("gomaxprocs %g vs %g", o, n)
 	}
 	return ""
 }
@@ -59,10 +47,11 @@ func envMismatch(oldF, newF benchFile) string {
 // delta table to w. It returns the names of benchmarks whose ns/op
 // regressed by more than thresholdPct percent. Benchmarks present in only
 // one file are listed but never count as regressions (the suite grew or
-// shrank; neither is a perf fault). Files recorded under different
-// parallelism environments (per their _env entries) are refused — the
-// delta would measure the machines, not the code — unless skipEnvMismatch
-// is set, which reports the skip on w and succeeds without diffing.
+// shrank; neither is a perf fault). Files whose benchmarks ran at
+// different GOMAXPROCS (per their _env entries) are refused — the delta
+// would measure the parallelism, not the code — unless skipEnvMismatch is
+// set, which reports the skip on w and succeeds without diffing. A
+// differing CPU count is noted on w and the diff goes ahead.
 func compareFiles(oldPath, newPath string, thresholdPct float64, skipEnvMismatch bool, w io.Writer) ([]string, error) {
 	oldF, err := readBenchFile(oldPath)
 	if err != nil {
@@ -79,6 +68,9 @@ func compareFiles(oldPath, newPath string, thresholdPct float64, skipEnvMismatch
 		}
 		return nil, fmt.Errorf("refusing to compare: %s and %s were recorded under different environments (%s); re-record the baseline on this machine or pass -skip-env-mismatch",
 			oldPath, newPath, diff)
+	}
+	if oldEnv, newEnv := oldF[envEntry], newF[envEntry]; oldEnv != nil && newEnv != nil && oldEnv["numcpu"] != newEnv["numcpu"] {
+		fmt.Fprintf(w, "note: numcpu %g vs %g (informational; gomaxprocs matches)\n", oldEnv["numcpu"], newEnv["numcpu"])
 	}
 	names := map[string]bool{}
 	for n := range oldF {

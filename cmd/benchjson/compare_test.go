@@ -121,6 +121,25 @@ func TestCompareFilesEnvMismatch(t *testing.T) {
 		t.Errorf("_env leaked into the delta table:\n%s", out.String())
 	}
 
+	// The CPU count alone is informational: same GOMAXPROCS on a machine
+	// with more CPUs diffs (and here fails on the 3x regression), with a
+	// note naming the difference.
+	bigger := writeJSON(t, dir, "bigger.json", `{
+		"_env":       {"gomaxprocs": 8, "numcpu": 64},
+		"BenchmarkA": {"ns/op": 3000}
+	}`)
+	out.Reset()
+	regressed, err = compareFiles(oldPath, bigger, 20, false, &out)
+	if err != nil {
+		t.Fatalf("numcpu-only difference refused: %v", err)
+	}
+	if len(regressed) != 1 || regressed[0] != "BenchmarkA" {
+		t.Errorf("regressed = %v, want [BenchmarkA] at 3x", regressed)
+	}
+	if !strings.Contains(out.String(), "note: numcpu 8 vs 64") {
+		t.Errorf("numcpu note missing:\n%s", out.String())
+	}
+
 	// A baseline from before env stamping (no _env entry) compares against
 	// anything — there is nothing to contradict.
 	legacy := writeJSON(t, dir, "legacy.json", `{"BenchmarkA": {"ns/op": 1000}}`)
@@ -154,6 +173,45 @@ func TestParseBenchLineEnvMetrics(t *testing.T) {
 	}
 	if _, ok := m["shards"]; ok {
 		t.Error("unsharded line must not carry shards")
+	}
+}
+
+// TestKeepFastest: with -count > 1 the lowest-ns/op line of a benchmark
+// is the one recorded, whatever order the runs arrive in.
+func TestKeepFastest(t *testing.T) {
+	results := map[string]map[string]float64{}
+	for _, line := range []string{
+		"BenchmarkMeter   1000   900 ns/op   10 B/op",
+		"BenchmarkMeter   1000   700 ns/op   12 B/op",
+		"BenchmarkMeter   1000   800 ns/op   11 B/op",
+	} {
+		m, name := parseBenchLine(line)
+		keepFastest(results, name, m)
+	}
+	if got := results["BenchmarkMeter"]; got["ns/op"] != 700 || got["B/op"] != 12 {
+		t.Errorf("kept %v, want the 700 ns/op line with its own B/op", got)
+	}
+}
+
+// TestBenchGOMAXPROCS: _env's gomaxprocs is the GOMAXPROCS the benchmarks
+// ran at — 1 for unsuffixed (-cpu 1) lines, else the largest suffix —
+// not the recording process's own.
+func TestBenchGOMAXPROCS(t *testing.T) {
+	results := map[string]map[string]float64{}
+	for _, line := range []string{
+		"BenchmarkServeRefit   1   1330000000 ns/op",
+		"BenchmarkFFT   100000   9000 ns/op",
+	} {
+		m, name := parseBenchLine(line)
+		results[name] = m
+	}
+	if got := benchGOMAXPROCS(results); got != 1 {
+		t.Errorf("unsuffixed lines: gomaxprocs = %v, want 1", got)
+	}
+	m, name := parseBenchLine("BenchmarkLMSFitParallel/w4-4   500   2501234 ns/op")
+	results[name] = m
+	if got := benchGOMAXPROCS(results); got != 4 {
+		t.Errorf("with a -4 line: gomaxprocs = %v, want 4", got)
 	}
 }
 

@@ -11,17 +11,18 @@ import (
 // estimation service (internal/serve) periodically refits a challenger
 // model per tenant from that tenant's live telemetry window and must
 // decide whether the challenger is a real improvement — drift in the
-// tenant's workload — or just noise. The decision reuses the library's
-// percentile bootstrap (stats.BootstrapOLS): the paired per-sample
-// residual advantage of the challenger over the incumbent is fed through
-// an intercept-only bootstrap regression, whose intercept CI is exactly a
-// bootstrap confidence interval on the mean advantage.
+// tenant's workload — or just noise. The decision is a percentile
+// bootstrap confidence interval on the mean paired per-sample residual
+// advantage of the challenger over the incumbent (stats.BootstrapMean).
+// That kernel draws the same resampling indices as an intercept-only
+// bootstrap regression, whose intercept is the sample mean, but sums each
+// replicate directly instead of refitting it, so it runs on every refit at
+// the cost of B passes over the window.
 
 // DriftOptions configures CompareOnWindow. The zero value selects the
 // documented defaults.
 type DriftOptions struct {
-	// B is the number of bootstrap replicates (<= 0 selects 200, the
-	// BootstrapOLS default).
+	// B is the number of bootstrap replicates (<= 0 selects 200).
 	B int
 	// Conf is the two-sided confidence level of the interval (0 selects
 	// 0.9). Higher confidence swaps less eagerly.
@@ -38,7 +39,7 @@ func (o DriftOptions) withDefaults() (DriftOptions, error) {
 	if o.Conf == 0 {
 		o.Conf = 0.9
 	}
-	if o.Conf <= 0 || o.Conf >= 1 {
+	if !(o.Conf > 0 && o.Conf < 1) {
 		return o, fmt.Errorf("core: %w: drift confidence %v out of (0,1)", ErrBadOptions, o.Conf)
 	}
 	return o, nil
@@ -115,22 +116,11 @@ func CompareOnWindow(incumbent, challenger *Model, samples []Sample, opt DriftOp
 	rep.IncumbentMAE /= float64(n)
 	rep.ChallengerMAE /= float64(n)
 
-	// Intercept-only bootstrap regression: with zero feature columns the
-	// fitted intercept is the sample mean, so BootstrapOLS hands back a
-	// percentile-bootstrap CI of mean(d) without a second bootstrap
-	// implementation.
-	xs := make([][]float64, n)
-	empty := []float64{}
-	for i := range xs {
-		xs[i] = empty
-	}
-	ci, err := stats.BootstrapOLS(xs, d, true, opt.B, opt.Conf, opt.Seed)
+	rep.MeanDelta, rep.Lo, rep.Hi, err = stats.BootstrapMean(d, opt.B, opt.Conf, opt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: CompareOnWindow: %w", err)
 	}
-	rep.MeanDelta = ci.Point[0]
-	rep.Lo, rep.Hi = ci.Lo[0], ci.Hi[0]
-	rep.B = ci.B
+	rep.B = opt.B
 	rep.Significant = rep.Lo > 0
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"virtover/internal/stats"
 	"virtover/internal/units"
 )
 
@@ -147,9 +148,85 @@ func TestCompareOnWindowErrors(t *testing.T) {
 	if _, err := CompareOnWindow(m, m, nil, DriftOptions{}); err == nil {
 		t.Error("empty window accepted")
 	}
-	for _, conf := range []float64{-0.5, 1, 1.5} {
+	for _, conf := range []float64{-0.5, 1, 1.5, math.NaN()} {
 		if _, err := CompareOnWindow(m, m, samples, DriftOptions{Conf: conf}); err == nil {
 			t.Errorf("confidence %v accepted", conf)
 		}
+	}
+}
+
+// TestDriftMeanBootstrapMatchesOLS: the drift rule's direct mean bootstrap
+// agrees with the intercept-only bootstrap regression it replaced (kept
+// here as the reference) on a fixed corpus of noisy windows of 64..663
+// samples. Both draw the same resampling indices, so Lo, Hi and the mean
+// differ only by summation order — within 1e-11 relative to the larger of
+// the value and the mean absolute delta — and the drift decision is the
+// same on every window.
+func TestDriftMeanBootstrapMatchesOLS(t *testing.T) {
+	const windows = 120
+	state := uint64(99)
+	noise := func() float64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return float64(state>>40)/float64(1<<24) - 0.5
+	}
+	var worst float64
+	significant := 0
+	for w := 0; w < windows; w++ {
+		n := 64 + (w*211)%600
+		samples := driftSamples(driftRows(1), n, uint64(w+1))
+		for i := range samples {
+			samples[i].Dom0CPU += 4 * noise()
+			samples[i].PM.BW += 20 * noise()
+		}
+		incumbent := &Model{A: driftRows(1 + 0.003*float64(w%7-3))}
+		challenger := &Model{A: driftRows(1 + 0.003*float64((w/7)%7-3))}
+		opt := DriftOptions{Seed: int64(w)}
+		rep, err := CompareOnWindow(incumbent, challenger, samples, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		d := make([]float64, n)
+		xs := make([][]float64, n)
+		var scale float64
+		for i, s := range samples {
+			d[i] = absResidual(incumbent, s) - absResidual(challenger, s)
+			xs[i] = []float64{}
+			scale += math.Abs(d[i]) / float64(n)
+		}
+		ref, err := stats.BootstrapOLS(xs, d, true, 200, 0.9, opt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.B != rep.B {
+			t.Errorf("window %d: B = %d, reference kept %d replicates", w, rep.B, ref.B)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"mean", rep.MeanDelta, ref.Point[0]},
+			{"lo", rep.Lo, ref.Lo[0]},
+			{"hi", rep.Hi, ref.Hi[0]},
+		} {
+			var rel float64
+			if c.got != c.want {
+				rel = math.Abs(c.got-c.want) / math.Max(scale, math.Max(math.Abs(c.got), math.Abs(c.want)))
+			}
+			worst = math.Max(worst, rel)
+			if rel > 1e-11 {
+				t.Errorf("window %d (n=%d): %s = %v, reference %v (relative %.3g)", w, n, c.name, c.got, c.want, rel)
+			}
+		}
+		if rep.Significant != (ref.Lo[0] > 0) {
+			t.Errorf("window %d (n=%d): Significant = %v, reference Lo %v", w, n, rep.Significant, ref.Lo[0])
+		}
+		if rep.Significant {
+			significant++
+		}
+	}
+	t.Logf("worst relative difference %.3g; %d of %d windows significant", worst, significant, windows)
+	if significant == 0 || significant == windows {
+		t.Errorf("%d of %d windows significant: the corpus must exercise both decisions", significant, windows)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -158,7 +159,7 @@ func TestServeErrorEnvelope(t *testing.T) {
 		{name: "estimate bad version", method: "POST", path: "/v1/estimate",
 			body: `{"version": 9, "model": {"seed": 1}, "guests": [{"cpu": 1}]}`, wantStatus: 400, wantCode: "bad_request"},
 		{name: "scenario bad kind", method: "POST", path: "/v1/scenario/run",
-			body: `{"pms": [{"name": "a"}], "vms": [{"name": "v", "pm": "a", "workload": {"kind": "cpuu"}}]}`,
+			body:       `{"pms": [{"name": "a"}], "vms": [{"name": "v", "pm": "a", "workload": {"kind": "cpuu"}}]}`,
 			wantStatus: 400, wantCode: "bad_request"},
 		{name: "ingest malformed line", method: "POST", path: "/v1/ingest",
 			body: `{"tenant": "a"`, wantStatus: 400, wantCode: "bad_request"},
@@ -196,7 +197,7 @@ func TestServeErrorEnvelope(t *testing.T) {
 				return ts.URL, func() {}
 			}},
 		{name: "draining ingest", method: "POST", path: "/v1/ingest",
-			body: ingestLines("t1", learnSamples(learnRows(1), 1, 3)),
+			body:       ingestLines("t1", learnSamples(learnRows(1), 1, 3)),
 			wantStatus: 503, wantCode: "draining",
 			setup: func(t *testing.T) (string, func()) {
 				s, ts := learnServer(t, Options{Workers: 1, Queue: 1})
@@ -757,6 +758,7 @@ func TestOptionsNormalize(t *testing.T) {
 	bad := []Options{
 		{DriftConf: 1.5},
 		{DriftConf: -0.1},
+		{DriftConf: math.NaN()},
 		{Refit: core.FitOptions{Method: core.MethodLMS, Ridge: 0.1}},
 	}
 	for i, o := range bad {

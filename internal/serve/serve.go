@@ -161,7 +161,7 @@ func (o Options) Normalize() (Options, error) {
 	if o.DriftConf == 0 {
 		o.DriftConf = 0.9
 	}
-	if o.DriftConf <= 0 || o.DriftConf >= 1 {
+	if !(o.DriftConf > 0 && o.DriftConf < 1) {
 		return o, fmt.Errorf("%w: DriftConf %v out of (0,1)", ErrBadConfig, o.DriftConf)
 	}
 	if o.IngestMaxLines <= 0 {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 
 	"virtover/internal/simrand"
@@ -19,14 +20,21 @@ type CoefCI struct {
 // BootstrapOLS computes percentile bootstrap confidence intervals for OLS
 // coefficients by resampling observations with replacement B times and
 // refitting. conf is the two-sided confidence level in (0,1); B <= 0
-// selects 200 replicates. Replicates whose resample is degenerate (rank
-// deficient) are skipped; an error is returned when fewer than half
-// survive.
+// selects 200 replicates. Replicates whose resample is rank deficient take
+// the same ridge-stabilized fallback as OLS and are skipped only when that
+// fails too; an error is returned when fewer than half survive.
+//
+// Each replicate solves for the coefficients alone: the drawn rows are
+// copied out of the full design matrix into one reused resample matrix
+// and solved with a reused QR scratch, so a replicate allocates nothing on
+// the QR path and no residual diagnostics are computed. The arithmetic is
+// exactly OLS's, so the intervals match refitting OLS per replicate to
+// the bit.
 func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf float64, seed int64) (*CoefCI, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("stats: BootstrapOLS got %d feature rows and %d targets", len(xs), len(ys))
 	}
-	if conf <= 0 || conf >= 1 {
+	if !(conf > 0 && conf < 1) {
 		return nil, fmt.Errorf("stats: BootstrapOLS confidence %v out of (0,1)", conf)
 	}
 	if B <= 0 {
@@ -36,42 +44,49 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 	if err != nil {
 		return nil, err
 	}
-	p := len(full.Coef)
-	n := len(xs)
+	x, err := designMatrix(xs, intercept)
+	if err != nil {
+		return nil, err
+	}
+	n, p := x.Rows, x.Cols
 	rng := simrand.New(seed)
 
-	coefs := make([][]float64, 0, B)
-	rx := make([][]float64, n)
+	// coefs holds the surviving replicates' coefficients, p per replicate.
+	coefs := make([]float64, 0, B*p)
+	rx := NewMatrix(n, p)
 	ry := make([]float64, n)
+	var qr qrScratch
 	for b := 0; b < B; b++ {
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
-			rx[i] = xs[j]
+			copy(rx.Data[i*p:(i+1)*p], x.Data[j*p:(j+1)*p])
 			ry[i] = ys[j]
 		}
-		fit, err := OLS(rx, ry, intercept)
+		beta, err := qr.solve(rx, ry)
 		if err != nil {
-			continue
+			beta, err = ridgeNormalEquations(rx, ry, 1e-8)
+			if err != nil {
+				continue
+			}
 		}
-		c := make([]float64, p)
-		copy(c, fit.Coef)
-		coefs = append(coefs, c)
+		coefs = append(coefs, beta...)
 	}
-	if len(coefs) < B/2 {
-		return nil, fmt.Errorf("stats: BootstrapOLS: only %d of %d replicates converged", len(coefs), B)
+	kept := len(coefs) / p
+	if kept < B/2 {
+		return nil, fmt.Errorf("stats: BootstrapOLS: only %d of %d replicates converged", kept, B)
 	}
 	out := &CoefCI{
 		Point: append([]float64(nil), full.Coef...),
 		Lo:    make([]float64, p),
 		Hi:    make([]float64, p),
 		Conf:  conf,
-		B:     len(coefs),
+		B:     kept,
 	}
 	alpha := (1 - conf) / 2
-	col := make([]float64, len(coefs))
+	col := make([]float64, kept)
 	for j := 0; j < p; j++ {
-		for i, c := range coefs {
-			col[i] = c[j]
+		for i := range col {
+			col[i] = coefs[i*p+j]
 		}
 		// col is scratch rebuilt per coefficient; the in-place selection
 		// skips Percentile's copy+sort on every replicate column.
@@ -79,6 +94,43 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 		out.Hi[j] = PercentileInPlace(col, 100*(1-alpha))
 	}
 	return out, nil
+}
+
+// BootstrapMean computes the sample mean of xs and its percentile
+// bootstrap confidence interval: B resamples with replacement, each
+// reduced to its mean, with lo and hi the (1-conf)/2 and (1+conf)/2
+// percentiles of those means. conf must lie in (0,1); B <= 0 selects 200.
+//
+// The resamples draw the same rng.Intn(len(xs)) index sequence from seed
+// as BootstrapOLS does for an intercept-only fit, whose intercept is the
+// sample mean; the two intervals therefore differ only by floating-point
+// summation order (direct sums here, Householder rotations there). This is
+// the drift rule's kernel: one pass per replicate and no allocation beyond
+// the B replicate means.
+func BootstrapMean(xs []float64, B int, conf float64, seed int64) (mean, lo, hi float64, err error) {
+	n := len(xs)
+	if n == 0 {
+		return 0, 0, 0, errors.New("stats: BootstrapMean: no observations")
+	}
+	if !(conf > 0 && conf < 1) {
+		return 0, 0, 0, fmt.Errorf("stats: BootstrapMean confidence %v out of (0,1)", conf)
+	}
+	if B <= 0 {
+		B = 200
+	}
+	rng := simrand.New(seed)
+	means := make([]float64, B)
+	for b := range means {
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += xs[rng.Intn(n)]
+		}
+		means[b] = sum / float64(n)
+	}
+	alpha := (1 - conf) / 2
+	lo = PercentileInPlace(means, 100*alpha)
+	hi = PercentileInPlace(means, 100*(1-alpha))
+	return Mean(xs), lo, hi, nil
 }
 
 // Contains reports whether coefficient j's interval contains v.

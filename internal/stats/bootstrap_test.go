@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 )
 
@@ -51,6 +52,9 @@ func TestBootstrapValidation(t *testing.T) {
 	if _, err := BootstrapOLS(xs, ys, true, 50, 1, 1); err == nil {
 		t.Error("conf=1 should fail")
 	}
+	if _, err := BootstrapOLS(xs, ys, true, 50, math.NaN(), 1); err == nil {
+		t.Error("conf=NaN should fail")
+	}
 	if _, err := BootstrapOLS(nil, nil, true, 50, 0.9, 1); err == nil {
 		t.Error("empty data should fail")
 	}
@@ -84,5 +88,36 @@ func TestBootstrapDeterministic(t *testing.T) {
 		if a.Lo[j] != b.Lo[j] || a.Hi[j] != b.Hi[j] {
 			t.Fatal("same seed must reproduce intervals")
 		}
+	}
+}
+
+func TestBootstrapMean(t *testing.T) {
+	xs, _ := genLinearData(80, []float64{1}, 0, 1, 17)
+	d := make([]float64, len(xs))
+	for i, x := range xs {
+		d[i] = x[0] - 0.3
+	}
+	mean, lo, hi, err := BootstrapMean(d, 0, 0.9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean != Mean(d) {
+		t.Errorf("mean = %v, want Mean = %v", mean, Mean(d))
+	}
+	if !(lo < mean && mean < hi) {
+		t.Errorf("CI [%v, %v] does not bracket the mean %v", lo, hi, mean)
+	}
+	m2, lo2, hi2, err := BootstrapMean(d, 200, 0.9, 5)
+	if err != nil || m2 != mean || lo2 != lo || hi2 != hi {
+		t.Errorf("B=0 should select 200 replicates and reproduce under the same seed")
+	}
+
+	for _, conf := range []float64{0, 1, -0.5, math.NaN()} {
+		if _, _, _, err := BootstrapMean(d, 50, conf, 1); err == nil {
+			t.Errorf("conf=%v should fail", conf)
+		}
+	}
+	if _, _, _, err := BootstrapMean(nil, 50, 0.9, 1); err == nil {
+		t.Error("empty data should fail")
 	}
 }

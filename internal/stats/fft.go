@@ -3,7 +3,9 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // This file implements the small signal-processing kernel CloudScale's
@@ -11,6 +13,12 @@ import (
 // patterns — "signatures" — from per-VM demand series with an FFT): an
 // iterative radix-2 FFT, the inverse transform, a power spectrum and
 // dominant-period detection.
+//
+// The signature predictor transforms a window every simulated step, so the
+// butterfly twiddle factors of each radix-2 stage size are computed once
+// per process and cached (see twiddles) rather than per butterfly. Each
+// factor is the same cmplx.Exp(complex(0, step*k)) evaluation, so a
+// transform's output does not depend on whether its tables were cached.
 
 // NextPow2 returns the smallest power of two >= n (and 1 for n <= 1).
 func NextPow2(n int) int {
@@ -50,10 +58,9 @@ func FFT(x []complex128) ([]complex128, error) {
 	// Butterflies.
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := -2 * math.Pi / float64(size)
+		tw := twiddles(size)
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
+			for k, w := range tw {
 				a := out[start+k]
 				b := out[start+k+half] * w
 				out[start+k] = a + b
@@ -62,6 +69,28 @@ func FFT(x []complex128) ([]complex128, error) {
 		}
 	}
 	return out, nil
+}
+
+// Twiddle tables, indexed by log2 of the stage size. A table is built
+// once, on first use, and only read afterwards.
+var (
+	twiddleOnce [64]sync.Once
+	twiddleTab  [64][]complex128
+)
+
+// twiddles returns the size/2 factors exp(-2*pi*i*k/size), k < size/2, of
+// one radix-2 butterfly stage; size must be a power of two >= 2.
+func twiddles(size int) []complex128 {
+	lg := bits.TrailingZeros(uint(size))
+	twiddleOnce[lg].Do(func() {
+		step := -2 * math.Pi / float64(size)
+		w := make([]complex128, size/2)
+		for k := range w {
+			w[k] = cmplx.Exp(complex(0, step*float64(k)))
+		}
+		twiddleTab[lg] = w
+	})
+	return twiddleTab[lg]
 }
 
 // IFFT computes the inverse transform. len(X) must be a power of two.

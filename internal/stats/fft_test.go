@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -162,5 +165,77 @@ func TestDominantPeriodDegenerate(t *testing.T) {
 	}
 	if p, s := DominantPeriod(make([]float64, 64)); p != 0 || s != 0 {
 		t.Errorf("constant series should return (0,0), got (%d,%v)", p, s)
+	}
+}
+
+// fftGoldenLengths lists every length 1..64 plus each power of two up to
+// 4096 and its two neighbours, so zero padding is exercised at every size.
+func fftGoldenLengths() []int {
+	var ns []int
+	for n := 1; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	for p := 128; p <= 4096; p <<= 1 {
+		ns = append(ns, p-1, p, p+1)
+	}
+	return ns
+}
+
+// TestFFTGolden pins FFT, PowerSpectrum and DominantPeriod to the bit for
+// every power-of-two size 1..4096 (and the spectra for the lengths of
+// fftGoldenLengths): a changed digest is a changed twiddle or butterfly,
+// which would move the elastic-scaling study's signature predictor.
+func TestFFTGolden(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	signal := make([]float64, 4097)
+	for i := range signal {
+		signal[i] = 50 + 20*math.Sin(2*math.Pi*float64(i)/37) + 5*r.NormFloat64()
+	}
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for n := 1; n <= 4096; n <<= 1 {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(signal[i], signal[len(signal)-1-i])
+		}
+		X, err := FFT(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range X {
+			put(math.Float64bits(real(v)))
+			put(math.Float64bits(imag(v)))
+		}
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "f5cc394aa389a1cddf2e625021ec157b9c049e40f415fe7216954b72600aaf82"; got != want {
+		t.Errorf("FFT digest %s, want %s", got, want)
+	}
+
+	h.Reset()
+	for _, n := range fftGoldenLengths() {
+		ps, err := PowerSpectrum(signal[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range ps {
+			put(math.Float64bits(v))
+		}
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "b16132ea4d95641e8ae133befc1ce5c1a2f66eb70eb850376809f0722b7ae1be"; got != want {
+		t.Errorf("PowerSpectrum digest %s, want %s", got, want)
+	}
+
+	h.Reset()
+	for _, n := range fftGoldenLengths() {
+		p, s := DominantPeriod(signal[:n])
+		put(uint64(p))
+		put(math.Float64bits(s))
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "48d92397fc97f042f08cadb6e5004004935b6a581d97a4a97d46c6e927183d3c"; got != want {
+		t.Errorf("DominantPeriod digest %s, want %s", got, want)
 	}
 }

@@ -209,8 +209,34 @@ func solveLinearInPlace(a *Matrix, b []float64, x []float64) int {
 }
 
 // qrSolve solves the least-squares problem min ||A x - b||_2 using
-// Householder QR with column checks. A must have Rows >= Cols.
+// Householder QR with column checks. A must have Rows >= Cols. A and b are
+// not modified; the returned solution is freshly allocated.
 func qrSolve(a *Matrix, b []float64) ([]float64, error) {
+	var s qrScratch
+	return s.solve(a, b)
+}
+
+// qrScratch is the working storage of a Householder QR solve: the
+// triangularized copy of A, the rotated right-hand side, one Householder
+// vector and the solution. It grows to the largest system it has seen and
+// is reused, so a caller solving many same-shape systems (the bootstrap's
+// replicates) allocates once instead of per solve. The zero value is ready
+// to use; a qrScratch must not be shared between goroutines.
+type qrScratch struct {
+	r, y, v, x []float64
+}
+
+// grow returns buf resliced to n, reallocating only when it is too short.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// solve is qrSolve over s's storage. The returned solution aliases s and
+// is overwritten by the next solve.
+func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		return nil, fmt.Errorf("stats: qrSolve: underdetermined system %dx%d", m, n)
@@ -218,26 +244,30 @@ func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 	if len(b) != m {
 		return nil, fmt.Errorf("stats: qrSolve rhs length %d, want %d", len(b), m)
 	}
-	r := a.Clone()
-	y := make([]float64, m)
+	s.r = grow(s.r, m*n)
+	s.y = grow(s.y, m)
+	s.v = grow(s.v, m)
+	s.x = grow(s.x, n)
+	r, y := s.r, s.y
+	copy(r, a.Data)
 	copy(y, b)
 
 	for k := 0; k < n; k++ {
 		// Householder vector for column k below the diagonal.
 		var norm float64
 		for i := k; i < m; i++ {
-			norm += r.Data[i*n+k] * r.Data[i*n+k]
+			norm += r[i*n+k] * r[i*n+k]
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
 			return nil, fmt.Errorf("stats: qrSolve: rank-deficient at column %d", k)
 		}
-		if r.Data[k*n+k] > 0 {
+		if r[k*n+k] > 0 {
 			norm = -norm
 		}
-		v := make([]float64, m-k)
+		v := s.v[:m-k]
 		for i := k; i < m; i++ {
-			v[i-k] = r.Data[i*n+k]
+			v[i-k] = r[i*n+k]
 		}
 		v[0] -= norm
 		var vnorm2 float64
@@ -251,11 +281,11 @@ func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 		for j := k; j < n; j++ {
 			var dot float64
 			for i := k; i < m; i++ {
-				dot += v[i-k] * r.Data[i*n+j]
+				dot += v[i-k] * r[i*n+j]
 			}
 			f := 2 * dot / vnorm2
 			for i := k; i < m; i++ {
-				r.Data[i*n+j] -= f * v[i-k]
+				r[i*n+j] -= f * v[i-k]
 			}
 		}
 		var dot float64
@@ -268,17 +298,17 @@ func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 	// Back substitution on the upper-triangular leading n x n block.
-	x := make([]float64, n)
+	x := s.x
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		sum := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= r.Data[i*n+j] * x[j]
+			sum -= r[i*n+j] * x[j]
 		}
-		d := r.Data[i*n+i]
+		d := r[i*n+i]
 		if math.Abs(d) < 1e-12 {
 			return nil, fmt.Errorf("stats: qrSolve: zero pivot at %d", i)
 		}
-		x[i] = s / d
+		x[i] = sum / d
 	}
 	return x, nil
 }
