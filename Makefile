@@ -1,14 +1,19 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn bench bench-compare
+.PHONY: check fmt vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn bench bench-compare
 
-# The full pre-commit gate: static checks, build, the race-enabled test
+# The full pre-commit gate: formatting and static checks, build, the race-enabled test
 # suite (shuffled to flush test-order dependencies), the multi-GOMAXPROCS
 # fitting-kernel, sharded-engine, sharded-monitoring and warm-start-fork
 # determinism checks, the sample-pipeline equivalence gate, the
 # observability-layer, run-journal, estimation-service and
 # continuous-learning gates.
-check: vet ctxvet build race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn
+check: fmt vet ctxvet build race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files to format:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -102,8 +107,8 @@ learn:
 	$(GO) test -race -cpu 1,4 -run 'TestServeErrorEnvelope|TestServeIngestContract|TestServeTenantEviction|TestServeRefitLifecycle|TestServeRefitDeterminism|TestServeHotSwapConsistency|TestServeRefitLoop|TestOptionsNormalize|TestServeHealthzVersion' ./internal/serve/
 	$(GO) test -race -run 'TestCompareOnWindow' ./internal/core/
 
-# Hot-path benchmarks (engine step + sample pipeline + fitting/selection
-# and bootstrap/FFT kernels) with allocation reporting; the parsed results
+# Hot-path benchmarks (engine step + sample pipeline + fitting/selection,
+# model training, bootstrap/FFT kernels and the random source) with allocation reporting; the parsed results
 # land in BENCH_stats.json so the next PR has a perf trajectory to compare
 # against. Pinned to -cpu 1 so the recorded environment (one P) is the
 # same on every machine and bench-compare can diff it anywhere. The suite
@@ -112,7 +117,7 @@ learn:
 # and goes over minutes, so passes spread in time filter it out better
 # than back-to-back -count repeats.
 bench:
-	for pass in 1 2 3; do $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkBootstrapOLS|BenchmarkCompareOnWindow|BenchmarkFFT' -benchmem -cpu 1 .; done | $(GO) run ./cmd/benchjson -out BENCH_stats.json
+	for pass in 1 2 3; do $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkBootstrapOLS|BenchmarkCompareOnWindow|BenchmarkFFT|BenchmarkTrain$$|BenchmarkSimrandNew|BenchmarkSimrandIntn' -benchmem -cpu 1 .; done | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
 # Re-run the metering-path and refit benchmarks at -cpu 1 (fastest of
 # three passes, as recorded) and diff them against the committed BENCH_stats.json

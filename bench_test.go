@@ -22,6 +22,7 @@ import (
 	"virtover/internal/exps"
 	"virtover/internal/monitor"
 	"virtover/internal/sampling"
+	"virtover/internal/simrand"
 	"virtover/internal/stats"
 	"virtover/internal/trace"
 	"virtover/internal/units"
@@ -867,4 +868,48 @@ func BenchmarkFFT(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTrain times the refit's challenger fit: core.Train with the
+// service's default (OLS) options on one full 512-sample single-VM
+// window, the shape every servd refit fits.
+func BenchmarkTrain(b *testing.B) {
+	samples := benchRefitSamples(512, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := core.Train(samples, nil, core.FitOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchTrained = m
+	}
+}
+
+var (
+	benchTrained *core.Model
+	benchSource  *simrand.Source
+	benchDraw    int
+)
+
+// BenchmarkSimrandNew times seeding one random source; a paper-size
+// report seeds thousands (one per meter tool, workload and engine).
+func BenchmarkSimrandNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSource = simrand.New(int64(i))
+	}
+}
+
+// BenchmarkSimrandIntn times one uniform index draw below a bound that is
+// not a power of two, so the rejection test and the remainder both run.
+func BenchmarkSimrandIntn(b *testing.B) {
+	rng := simrand.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += rng.Intn(663)
+	}
+	benchDraw = sum
 }

@@ -227,20 +227,60 @@ func fitCoefficients(xs [][]float64, ys []float64, opt FitOptions) ([]float64, e
 	return fit.Coef, nil
 }
 
-func fitRows(samples []Sample, ys func(Sample) float64, opt FitOptions) (Row, error) {
-	xs := make([][]float64, len(samples))
-	targets := make([]float64, len(samples))
+// fitTargets fits one coefficient row per target against the samples'
+// guest sums, with y(s, t) the value of target t for sample s. The target
+// vectors are filled one at a time into one buffer. Failures are reported
+// as "fitting <what><target>".
+//
+// The default OLS path builds the n x 5 design [1, CPU, Mem, IO, BW]
+// straight from the guest sums, factors it once and solves all five
+// targets against that factorization: coefficients only, bit-identical to
+// five stats.OLS fits, including OLS's ridge fallback for a rank-deficient
+// design. LMS and ridge fit each target on its own.
+func fitTargets(samples []Sample, y func(Sample, Target) float64, opt FitOptions, what string) ([NumTargets]Row, error) {
+	var rows [NumTargets]Row
+	n := len(samples)
+	fail := func(t Target, err error) ([NumTargets]Row, error) {
+		return rows, fmt.Errorf("core: fitting %s%v: %w", what, t, err)
+	}
+	ys := make([]float64, n)
+	target := func(t Target) []float64 {
+		for i, s := range samples {
+			ys[i] = y(s, t)
+		}
+		return ys
+	}
+	if opt.Method == MethodOLS && opt.Ridge == 0 {
+		x := stats.NewMatrix(n, len(Row{}))
+		for i, s := range samples {
+			r := x.Data[i*len(Row{}) : (i+1)*len(Row{})]
+			r[0], r[1], r[2], r[3], r[4] = 1, s.VMSum.CPU, s.VMSum.Mem, s.VMSum.IO, s.VMSum.BW
+		}
+		var ls stats.LeastSquares
+		if err := ls.Factor(x); err != nil {
+			return fail(TargetDom0CPU, err)
+		}
+		for t := range numTargets {
+			coef, err := ls.Coef(target(t))
+			if err != nil {
+				return fail(t, err)
+			}
+			copy(rows[t][:], coef)
+		}
+		return rows, nil
+	}
+	xs := make([][]float64, n)
 	for i, s := range samples {
 		xs[i] = features(s.VMSum)
-		targets[i] = ys(s)
 	}
-	coef, err := fitCoefficients(xs, targets, opt)
-	if err != nil {
-		return Row{}, err
+	for t := range numTargets {
+		coef, err := fitCoefficients(xs, target(t), opt)
+		if err != nil {
+			return fail(t, err)
+		}
+		copy(rows[t][:], coef)
 	}
-	var r Row
-	copy(r[:], coef)
-	return r, nil
+	return rows, nil
 }
 
 // TrainSingle fits the single-VM model (Eq. 1-2) from N=1 samples.
@@ -257,16 +297,11 @@ func TrainSingle(samples []Sample, opt FitOptions) (*Model, error) {
 			return nil, fmt.Errorf("core: TrainSingle: sample %d has N=%d, want 1", i, s.N)
 		}
 	}
-	m := &Model{}
-	for _, t := range Targets() {
-		t := t
-		row, err := fitRows(samples, func(s Sample) float64 { return s.target(t) }, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting %v: %w", t, err)
-		}
-		m.A[t] = row
+	a, err := fitTargets(samples, Sample.target, opt, "")
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &Model{A: a}, nil
 }
 
 // Train fits the full model: the single-VM matrix a from the N=1 samples
@@ -281,31 +316,17 @@ func Train(single, multi []Sample, opt FitOptions) (*Model, error) {
 	if len(multi) == 0 {
 		return m, nil
 	}
-	// o is fitted on per-α residuals: (y − a·x) / α(N).
-	resid := make([]Sample, 0, len(multi))
 	for i, s := range multi {
 		if s.N < 2 {
 			return nil, fmt.Errorf("core: Train: multi sample %d has N=%d, want >= 2", i, s.N)
 		}
-		alpha := Alpha(s.N)
-		r := s // copy
-		r.Dom0CPU = (s.Dom0CPU - m.A[TargetDom0CPU].Apply(s.VMSum)) / alpha
-		r.HypCPU = (s.HypCPU - m.A[TargetHypCPU].Apply(s.VMSum)) / alpha
-		r.PM = units.V(
-			s.PM.CPU,
-			(s.PM.Mem-m.A[TargetPMMem].Apply(s.VMSum))/alpha,
-			(s.PM.IO-m.A[TargetPMIO].Apply(s.VMSum))/alpha,
-			(s.PM.BW-m.A[TargetPMBW].Apply(s.VMSum))/alpha,
-		)
-		resid = append(resid, r)
 	}
-	for _, t := range Targets() {
-		t := t
-		row, err := fitRows(resid, func(s Sample) float64 { return s.target(t) }, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting o for %v: %w", t, err)
-		}
-		m.O[t] = row
+	// o is fitted on per-α residuals: (y − a·x) / α(N).
+	resid := func(s Sample, t Target) float64 {
+		return (s.target(t) - m.A[t].Apply(s.VMSum)) / Alpha(s.N)
+	}
+	if m.O, err = fitTargets(multi, resid, opt, "o for "); err != nil {
+		return nil, err
 	}
 	m.HasO = true
 	return m, nil

@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strings"
 
 	"virtover/internal/monitor"
@@ -140,8 +141,9 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, decodeError(err)
 	}
 	// A second Decode distinguishes "one JSON document" from "one document
-	// followed by junk" (io.EOF is the clean case).
-	if err := dec.Decode(new(json.RawMessage)); err == nil {
+	// followed by junk": io.EOF is the only clean case (a stray '}' is a
+	// syntax error, not a second document).
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return nil, badf("$", "trailing data after scenario document")
 	}
 	if err := s.Validate(); err != nil {

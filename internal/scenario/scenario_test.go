@@ -194,8 +194,10 @@ func TestParseFieldPathErrors(t *testing.T) {
 }
 
 func TestParseRejectsTrailingData(t *testing.T) {
-	if _, err := Parse([]byte(`{"pms": [{"name": "p"}], "vms": []} {"more": 1}`)); !errors.Is(err, ErrBadScenario) {
-		t.Errorf("trailing data err = %v, want ErrBadScenario", err)
+	for _, tail := range []string{` {"more": 1}`, `}`, ` ]`} {
+		if _, err := Parse([]byte(`{"pms": [{"name": "p"}], "vms": []}` + tail)); !errors.Is(err, ErrBadScenario) {
+			t.Errorf("trailing %q: err = %v, want ErrBadScenario", tail, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -197,7 +198,9 @@ func decodeStrict(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %s", errBadRequest, strings.TrimPrefix(err.Error(), "json: "))
 	}
-	if dec.More() {
+	// Only io.EOF means nothing follows; More reports false before a
+	// stray '}' or ']', which let such a tail through.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: trailing data after request document", errBadRequest)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -116,7 +117,7 @@ func (s *Server) ingestBatch(body *bufio.Scanner) (ingestResponse, error) {
 			return res, fmt.Errorf("%w: line %d: %s (accepted %d samples before it)",
 				errBadRequest, lineNo, strings.TrimPrefix(err.Error(), "json: "), res.Accepted)
 		}
-		if dec.More() {
+		if len(bytes.TrimSpace(raw[dec.InputOffset():])) != 0 {
 			return res, fmt.Errorf("%w: line %d: trailing data after the sample object (accepted %d samples before it)",
 				errBadRequest, lineNo, res.Accepted)
 		}
@@ -149,6 +150,14 @@ func (s *Server) ingestBatch(body *bufio.Scanner) (ingestResponse, error) {
 // hundred bytes, so 64 KiB is generous headroom, not a tunable.
 const maxIngestLineBytes = 64 << 10
 
+// newIngestScanner splits an ingest body into lines under the per-line
+// size bound.
+func newIngestScanner(body io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 4096), maxIngestLineBytes)
+	return sc
+}
+
 // handleIngest is POST /v1/ingest. Parsing and window appends are cheap
 // (no simulation, no fitting), so ingestion runs inline on the connection
 // goroutine rather than occupying a compute-pool slot — a telemetry flood
@@ -173,9 +182,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		t0 := s.jr.Now()
 		r.Body = http.MaxBytesReader(w, r.Body, s.opt.IngestMaxBytes)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 4096), maxIngestLineBytes)
-		res, err := s.ingestBatch(sc)
+		res, err := s.ingestBatch(newIngestScanner(r.Body))
 		if s.jr.Enabled() {
 			e := obs.Event{
 				Type:      "ingest",

@@ -334,6 +334,7 @@ func TestServeBadRequests(t *testing.T) {
 	}{
 		{"/v1/fit", `{"seed": 1, "sede": 2}`, "unknown field"},
 		{"/v1/fit", `{"version": 2, "seed": 1}`, "unsupported version 2"},
+		{"/v1/fit", `{"seed": 1}]`, "trailing data"},
 		{"/v1/fit", `{"seed": 1, "method": "magic"}`, `unknown method "magic"`},
 		{"/v1/fit", `{"seed": 1, "method": "lms", "ridge": 0.1}`, "ridge"},
 		{"/v1/estimate", `{"model": {"seed": 1}, "guests": []}`, "at least one guest"},

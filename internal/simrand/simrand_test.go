@@ -181,9 +181,10 @@ func TestIntnAndInt63(t *testing.T) {
 }
 
 // TestCountingSourcePassThrough pins the stream-compatibility contract of
-// the draw-counting wrapper: a Source must emit exactly what a bare
+// the draw-counting generator: a Source must emit exactly what a bare
 // math/rand generator with the same seed emits, or every recorded seed in
-// the repo changes meaning.
+// the repo changes meaning. TestStreamMatchesMathRand widens it to every
+// draw and hundreds of seeds.
 func TestCountingSourcePassThrough(t *testing.T) {
 	s := New(42)
 	ref := rand.New(rand.NewSource(42))
@@ -230,5 +231,100 @@ func TestStateFreshSource(t *testing.T) {
 	}
 	if a, b := Restore(st).Float64(), New(99).Float64(); a != b {
 		t.Fatal("restored fresh source diverges from New")
+	}
+}
+
+// streamSeeds are the seeds TestStreamMatchesMathRand checks: the seeding
+// edge cases (zero and multiples of 2^31−1, which math/rand maps to its
+// fixed substitute seed, the substitute itself, negatives, values beyond
+// 32 bits and the int64 extremes) plus a few hundred spread seeds.
+func streamSeeds() []int64 {
+	seeds := []int64{
+		0, 1, -1, 2, -2, 42, -42,
+		int32max, -int32max, 2 * int32max, -2 * int32max, 1000 * int32max,
+		int32max - 1, int32max + 1, -(int32max + 1),
+		89482311, -89482311, 1 << 31, 1 << 40, -(1 << 40),
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+	}
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 300; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		seeds = append(seeds, int64(x))
+	}
+	return seeds
+}
+
+// TestStreamMatchesMathRand pins the stream contract: for every seed, an
+// interleaved mix of every draw Source copies from rand.Rand or delegates
+// to it must equal a bare math/rand generator with the same seed.
+func TestStreamMatchesMathRand(t *testing.T) {
+	bounds := []int{
+		1, 2, 3, 7, 10, 100, 513, 1000, // small
+		4, 64, 1 << 20, 1 << 30, // powers of two
+		1<<30 + 1, int32max - 1, int32max, // the Int31n path's edges
+		1 << 31, 1<<40 + 3, 1<<62 + 1, math.MaxInt64, // the Int63n path
+	}
+	for _, seed := range streamSeeds() {
+		s := New(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 40; i++ {
+			for _, n := range bounds {
+				if got, want := s.Intn(n), ref.Intn(n); got != want {
+					t.Fatalf("seed %d round %d: Intn(%d) = %d, want %d", seed, i, n, got, want)
+				}
+			}
+			if got, want := s.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d round %d: Float64 = %v, want %v", seed, i, got, want)
+			}
+			if got, want := s.NormFloat64(), ref.NormFloat64(); got != want {
+				t.Fatalf("seed %d round %d: NormFloat64 = %v, want %v", seed, i, got, want)
+			}
+			if got, want := s.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d round %d: Int63 = %d, want %d", seed, i, got, want)
+			}
+			got, want := s.Perm(6), ref.Perm(6)
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("seed %d round %d: Perm = %v, want %v", seed, i, got, want)
+				}
+			}
+			if got, want := s.Exponential(2), ref.ExpFloat64()*2; got != want {
+				t.Fatalf("seed %d round %d: Exponential = %v, want %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestBoundedMatchesIntn checks the prepared draw against Intn: the same
+// values and the same number of raw draws, over bounds that exercise
+// the power-of-two mask, heavy rejection (2^30+1 rejects almost half of
+// all draws) and the top of the 31-bit range.
+func TestBoundedMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 513, 663, 1 << 30, 1<<30 + 1, int32max - 1, int32max} {
+		for _, seed := range []int64{0, 1, -7, 89482311, 1 << 40} {
+			s, ref := New(seed), New(seed)
+			b := s.Bounded(n)
+			for i := 0; i < 20000; i++ {
+				if got, want := b.Next(), ref.Intn(n); got != want {
+					t.Fatalf("n %d seed %d draw %d: Bounded = %d, Intn = %d", n, seed, i, got, want)
+				}
+			}
+			if s.Draws() != ref.Draws() {
+				t.Fatalf("n %d seed %d: Bounded consumed %d raw draws, Intn %d", n, seed, s.Draws(), ref.Draws())
+			}
+		}
+	}
+}
+
+func TestBoundedPanicsOutOfRange(t *testing.T) {
+	for _, n := range []int{0, -1, int32max + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Bounded(%d) did not panic", n)
+				}
+			}()
+			New(1).Bounded(n)
+		}()
 	}
 }

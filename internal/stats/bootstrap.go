@@ -24,12 +24,12 @@ type CoefCI struct {
 // the same ridge-stabilized fallback as OLS and are skipped only when that
 // fails too; an error is returned when fewer than half survive.
 //
-// Each replicate solves for the coefficients alone: the drawn rows are
-// copied out of the full design matrix into one reused resample matrix
-// and solved with a reused QR scratch, so a replicate allocates nothing on
-// the QR path and no residual diagnostics are computed. The arithmetic is
-// exactly OLS's, so the intervals match refitting OLS per replicate to
-// the bit.
+// Each replicate solves for the coefficients alone: the drawn rows (one
+// prepared simrand Bounded draw, the Intn(n) sequence) are copied out of
+// the full design matrix into one reused resample matrix and solved with
+// one reused LeastSquares, so a replicate allocates nothing on the QR path
+// and no residual diagnostics are computed. The arithmetic is exactly
+// OLS's, so the intervals match refitting OLS per replicate to the bit.
 func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf float64, seed int64) (*CoefCI, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("stats: BootstrapOLS got %d feature rows and %d targets", len(xs), len(ys))
@@ -49,25 +49,25 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 		return nil, err
 	}
 	n, p := x.Rows, x.Cols
-	rng := simrand.New(seed)
+	draw := simrand.New(seed).Bounded(n)
 
 	// coefs holds the surviving replicates' coefficients, p per replicate.
 	coefs := make([]float64, 0, B*p)
 	rx := NewMatrix(n, p)
 	ry := make([]float64, n)
-	var qr qrScratch
+	var ls LeastSquares
 	for b := 0; b < B; b++ {
 		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
+			j := draw.Next()
 			copy(rx.Data[i*p:(i+1)*p], x.Data[j*p:(j+1)*p])
 			ry[i] = ys[j]
 		}
-		beta, err := qr.solve(rx, ry)
+		if err := ls.Factor(rx); err != nil {
+			return nil, err // unreachable: rx has the full fit's shape
+		}
+		beta, err := ls.Coef(ry)
 		if err != nil {
-			beta, err = ridgeNormalEquations(rx, ry, 1e-8)
-			if err != nil {
-				continue
-			}
+			continue
 		}
 		coefs = append(coefs, beta...)
 	}
@@ -101,10 +101,11 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 // reduced to its mean, with lo and hi the (1-conf)/2 and (1+conf)/2
 // percentiles of those means. conf must lie in (0,1); B <= 0 selects 200.
 //
-// The resamples draw the same rng.Intn(len(xs)) index sequence from seed
-// as BootstrapOLS does for an intercept-only fit, whose intercept is the
-// sample mean; the two intervals therefore differ only by floating-point
-// summation order (direct sums here, Householder rotations there). This is
+// The resamples draw the same Intn(len(xs)) index sequence from seed
+// (through simrand's prepared Bounded draw) as BootstrapOLS does for an
+// intercept-only fit, whose intercept is the sample mean; the two
+// intervals therefore differ only by floating-point summation order
+// (direct sums here, Householder rotations there). This is
 // the drift rule's kernel: one pass per replicate and no allocation beyond
 // the B replicate means.
 func BootstrapMean(xs []float64, B int, conf float64, seed int64) (mean, lo, hi float64, err error) {
@@ -118,12 +119,12 @@ func BootstrapMean(xs []float64, B int, conf float64, seed int64) (mean, lo, hi 
 	if B <= 0 {
 		B = 200
 	}
-	rng := simrand.New(seed)
+	draw := simrand.New(seed).Bounded(n)
 	means := make([]float64, B)
 	for b := range means {
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += xs[rng.Intn(n)]
+			sum += xs[draw.Next()]
 		}
 		means[b] = sum / float64(n)
 	}

@@ -208,22 +208,32 @@ func solveLinearInPlace(a *Matrix, b []float64, x []float64) int {
 	return -1
 }
 
-// qrSolve solves the least-squares problem min ||A x - b||_2 using
-// Householder QR with column checks. A must have Rows >= Cols. A and b are
-// not modified; the returned solution is freshly allocated.
-func qrSolve(a *Matrix, b []float64) ([]float64, error) {
-	var s qrScratch
-	return s.solve(a, b)
-}
-
-// qrScratch is the working storage of a Householder QR solve: the
-// triangularized copy of A, the rotated right-hand side, one Householder
-// vector and the solution. It grows to the largest system it has seen and
-// is reused, so a caller solving many same-shape systems (the bootstrap's
-// replicates) allocates once instead of per solve. The zero value is ready
-// to use; a qrScratch must not be shared between goroutines.
+// qrScratch is the working storage of a Householder QR least-squares
+// solve, min ||A x - b||_2 with column checks: the triangularized copy of
+// A with the Householder vectors stored below its diagonal, the rotated
+// right-hand side and the solution. It grows to the largest system it has
+// seen and is reused, so a caller solving many same-shape systems (the
+// bootstrap's replicates) allocates once instead of per solve. The zero
+// value is ready to use; a qrScratch must not be shared between
+// goroutines. LeastSquares is its one user.
+//
+// A solve is three steps: factor triangularizes A once, recording each
+// column's reflector; apply rotates one right-hand side by those
+// reflectors; backSubstitute solves the triangle. Several right-hand
+// sides against one design (the model's five targets) factor once and
+// apply per side. Each side sees exactly the operations, in exactly the
+// order, it would if it were rotated alongside the factorization, so the
+// split is bit-identical to factoring once per side.
 type qrScratch struct {
-	r, y, v, x []float64
+	m, n int
+	// r is m x n. After factor its upper triangle is R and column k below
+	// the diagonal holds reflector k past its head, v0[k].
+	r   []float64
+	v0  []float64
+	vn2 []float64 // ||v_k||^2, or 0 for a column whose reflector is skipped
+	v   []float64 // the current reflector while factoring
+	y   []float64
+	x   []float64
 }
 
 // grow returns buf resliced to n, reallocating only when it is too short.
@@ -234,23 +244,21 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// solve is qrSolve over s's storage. The returned solution aliases s and
-// is overwritten by the next solve.
-func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
+// factor triangularizes a copy of a by Householder reflections and keeps
+// the reflectors for apply. It fails on an underdetermined or
+// rank-deficient design.
+func (s *qrScratch) factor(a *Matrix) error {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("stats: qrSolve: underdetermined system %dx%d", m, n)
+		return fmt.Errorf("stats: QR: underdetermined system %dx%d", m, n)
 	}
-	if len(b) != m {
-		return nil, fmt.Errorf("stats: qrSolve rhs length %d, want %d", len(b), m)
-	}
+	s.m, s.n = m, n
 	s.r = grow(s.r, m*n)
-	s.y = grow(s.y, m)
 	s.v = grow(s.v, m)
-	s.x = grow(s.x, n)
-	r, y := s.r, s.y
+	s.v0 = grow(s.v0, n)
+	s.vn2 = grow(s.vn2, n)
+	r := s.r
 	copy(r, a.Data)
-	copy(y, b)
 
 	for k := 0; k < n; k++ {
 		// Householder vector for column k below the diagonal.
@@ -260,7 +268,7 @@ func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
-			return nil, fmt.Errorf("stats: qrSolve: rank-deficient at column %d", k)
+			return fmt.Errorf("stats: QR: rank-deficient at column %d", k)
 		}
 		if r[k*n+k] > 0 {
 			norm = -norm
@@ -275,9 +283,11 @@ func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
 			vnorm2 += vi * vi
 		}
 		if vnorm2 < 1e-24 {
+			s.vn2[k] = 0
 			continue
 		}
-		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns and to y.
+		s.vn2[k] = vnorm2
+		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns.
 		for j := k; j < n; j++ {
 			var dot float64
 			for i := k; i < m; i++ {
@@ -288,16 +298,54 @@ func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
 				r[i*n+j] -= f * v[i-k]
 			}
 		}
-		var dot float64
-		for i := k; i < m; i++ {
-			dot += v[i-k] * y[i]
-		}
-		f := 2 * dot / vnorm2
-		for i := k; i < m; i++ {
-			y[i] -= f * v[i-k]
+		// Column k below the diagonal is dead from here on (back
+		// substitution reads only the upper triangle), so it keeps the
+		// reflector for apply.
+		s.v0[k] = v[0]
+		for i := k + 1; i < m; i++ {
+			r[i*n+k] = v[i-k]
 		}
 	}
-	// Back substitution on the upper-triangular leading n x n block.
+	return nil
+}
+
+// apply rotates a copy of b by the reflectors of the last factor, in
+// factorization order, and returns it (aliasing s).
+func (s *qrScratch) apply(b []float64) ([]float64, error) {
+	m, n, r := s.m, s.n, s.r
+	if len(b) != m {
+		return nil, fmt.Errorf("stats: QR rhs length %d, want %d", len(b), m)
+	}
+	s.y = grow(s.y, m)
+	y := s.y
+	copy(y, b)
+	for k := 0; k < n; k++ {
+		vnorm2 := s.vn2[k]
+		if vnorm2 == 0 {
+			continue
+		}
+		// The same sums, term for term, as rotating y alongside the
+		// factorization: the head v0[k] first, then the stored tail.
+		var dot float64
+		dot += s.v0[k] * y[k]
+		for i := k + 1; i < m; i++ {
+			dot += r[i*n+k] * y[i]
+		}
+		f := 2 * dot / vnorm2
+		y[k] -= f * s.v0[k]
+		for i := k + 1; i < m; i++ {
+			y[i] -= f * r[i*n+k]
+		}
+	}
+	return y, nil
+}
+
+// backSubstitute solves the upper-triangular leading n x n block of the
+// last factor against the rotated right-hand side y. The solution aliases
+// s.
+func (s *qrScratch) backSubstitute(y []float64) ([]float64, error) {
+	n, r := s.n, s.r
+	s.x = grow(s.x, n)
 	x := s.x
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
@@ -306,7 +354,7 @@ func (s *qrScratch) solve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		d := r[i*n+i]
 		if math.Abs(d) < 1e-12 {
-			return nil, fmt.Errorf("stats: qrSolve: zero pivot at %d", i)
+			return nil, fmt.Errorf("stats: QR: zero pivot at %d", i)
 		}
 		x[i] = sum / d
 	}

@@ -170,6 +170,19 @@ func TestSolveLinearDoesNotMutateInputs(t *testing.T) {
 	}
 }
 
+// qrSolve runs the three QR steps over a fresh scratch.
+func qrSolve(a *Matrix, b []float64) ([]float64, error) {
+	var s qrScratch
+	if err := s.factor(a); err != nil {
+		return nil, err
+	}
+	y, err := s.apply(b)
+	if err != nil {
+		return nil, err
+	}
+	return s.backSubstitute(y)
+}
+
 func TestQRSolveOverdetermined(t *testing.T) {
 	// y = 2 + 3x fitted on exact data must recover coefficients.
 	x := NewMatrix(5, 2)

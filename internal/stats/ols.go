@@ -107,21 +107,60 @@ func OLS(xs [][]float64, ys []float64, intercept bool) (*Fit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if x.Rows < x.Cols {
-		return nil, fmt.Errorf("stats: OLS needs at least %d observations, got %d", x.Cols, x.Rows)
+	var ls LeastSquares
+	if err := ls.Factor(x); err != nil {
+		return nil, err
 	}
-	beta, err := qrSolve(x, ys)
+	beta, err := ls.Coef(ys)
 	if err != nil {
-		// Fall back to ridge-stabilized normal equations for rank-deficient
-		// designs (e.g. a workload that never exercises one resource).
-		beta, err = ridgeNormalEquations(x, ys, 1e-8)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
+	// beta aliases ls, which is not used again: the Fit can own it.
 	f := &Fit{Coef: beta, Intercept: intercept}
 	residualDiagnostics(f, xs, ys)
 	return f, nil
+}
+
+// LeastSquares is OLS's coefficient solver for one design matrix and any
+// number of targets: Factor triangularizes the design once, and each Coef
+// call returns the coefficients OLS would fit for one target vector, bit
+// for bit, without the residual diagnostics. When the design is rank
+// deficient (e.g. a workload that never exercises one resource), Coef
+// takes OLS's fallback, ridge-stabilized normal equations, per target.
+// The zero value is ready to use and may be reused across designs; a
+// LeastSquares must not be shared between goroutines.
+type LeastSquares struct {
+	qr qrScratch
+	x  *Matrix
+	ok bool // the factorization succeeded
+}
+
+// Factor prepares the solver for design x, whose rows are observations
+// and which includes any intercept column. x is retained, unmodified, for
+// the fallback. It fails only when x has fewer rows than columns.
+func (ls *LeastSquares) Factor(x *Matrix) error {
+	if x.Rows < x.Cols {
+		return fmt.Errorf("stats: OLS needs at least %d observations, got %d", x.Cols, x.Rows)
+	}
+	ls.x = x
+	ls.ok = ls.qr.factor(x) == nil
+	return nil
+}
+
+// Coef returns the least-squares coefficients of target y against the
+// factored design, in column order. The result may alias the solver's
+// storage: it is valid until the next Coef or Factor call.
+func (ls *LeastSquares) Coef(y []float64) ([]float64, error) {
+	if ls.ok {
+		ry, err := ls.qr.apply(y)
+		if err != nil {
+			return nil, err
+		}
+		if beta, err := ls.qr.backSubstitute(ry); err == nil {
+			return beta, nil
+		}
+	}
+	return ridgeNormalEquations(ls.x, y, 1e-8)
 }
 
 // ridgeNormalEquations solves (X^T X + lambda I) beta = X^T y. The tiny

@@ -57,8 +57,8 @@ func BuildDatacenter(spec DatacenterSpec) *Cluster {
 			name := fmt.Sprintf("vm-%06d", vmID)
 			vm := cl.AddVM(pm, name, 512)
 
-			base := rng.Uniform(10, 45)  // resting CPU%
-			swing := rng.Uniform(5, 40)  // diurnal amplitude
+			base := rng.Uniform(10, 45) // resting CPU%
+			swing := rng.Uniform(5, 40) // diurnal amplitude
 			phase := rng.Uniform(0, 2*math.Pi)
 			period := rng.Uniform(200, 2000) // seconds
 			mem := rng.Uniform(32, 256)      // resident MB
