@@ -91,11 +91,12 @@ journal:
 	$(GO) test -run 'TestJournaledCampaignStepAllocs' .
 
 # Estimation-service gate: the concurrent e2e suite (saturation/429,
-# cache, drain, served-fit determinism) and the cancellation-bound tests,
-# all under the race detector.
+# cache, drain, served-fit determinism) and the cancellation-bound tests
+# (one campaign, the model fit, a paper-size report canceled in its
+# extension studies, the campaign pool), all under the race detector.
 serve:
 	$(GO) test -race ./internal/serve/
-	$(GO) test -race -run 'TestRunMicroContextCancelsWithinOneStep|TestFitModelContextCancels|TestRunParallelFailFast|TestRunParallelLowestIndexError' ./internal/exps/
+	$(GO) test -race -run 'TestRunMicroContextCancelsWithinOneStep|TestFitModelContextCancels|TestFullReportContextCancelsInExtensions|TestRunParallelFailFast|TestRunParallelLowestIndexError' ./internal/exps/
 
 # Continuous-learning gate: the streaming/refit suite under the race
 # detector — the unified error envelope on every 4xx/5xx path, the
@@ -108,7 +109,8 @@ learn:
 	$(GO) test -race -run 'TestCompareOnWindow' ./internal/core/
 
 # Hot-path benchmarks (engine step + sample pipeline + fitting/selection,
-# model training, bootstrap/FFT kernels and the random source) with allocation reporting; the parsed results
+# model training, bootstrap/FFT kernels and the random source) and the
+# end-to-end paper-size report, with allocation reporting; the parsed results
 # land in BENCH_stats.json so the next PR has a perf trajectory to compare
 # against. Pinned to -cpu 1 so the recorded environment (one P) is the
 # same on every machine and bench-compare can diff it anywhere. The suite
@@ -117,7 +119,7 @@ learn:
 # and goes over minutes, so passes spread in time filter it out better
 # than back-to-back -count repeats.
 bench:
-	for pass in 1 2 3; do $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkBootstrapOLS|BenchmarkCompareOnWindow|BenchmarkFFT|BenchmarkTrain$$|BenchmarkSimrandNew|BenchmarkSimrandIntn' -benchmem -cpu 1 .; done | $(GO) run ./cmd/benchjson -out BENCH_stats.json
+	for pass in 1 2 3; do $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkBootstrapOLS|BenchmarkCompareOnWindow|BenchmarkFFT|BenchmarkTrain$$|BenchmarkSimrandNew|BenchmarkSimrandIntn|BenchmarkReportPaper' -benchmem -cpu 1 .; done | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
 # Re-run the metering-path and refit benchmarks at -cpu 1 (fastest of
 # three passes, as recorded) and diff them against the committed BENCH_stats.json

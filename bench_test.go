@@ -11,6 +11,7 @@
 package virtover_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -883,6 +884,21 @@ func BenchmarkTrain(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchTrained = m
+	}
+}
+
+// BenchmarkReportPaper times one paper-size reproduction report end to
+// end (exps.FullReportContext at PaperReportConfig), rotating over eight
+// seeds. make bench records it at -cpu 1, where only the single-core
+// gains show (the kernels, the corpus simulated once); the campaign
+// pool's fan-out of the extension studies shows with more than one P, as
+// in e2ebench's report-paper workload.
+func BenchmarkReportPaper(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exps.FullReportContext(context.Background(), exps.PaperReportConfig(int64(1+i%8))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -23,7 +23,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"virtover/internal/monitor"
 	"virtover/internal/stats"
@@ -398,6 +401,11 @@ func (m *Model) Overhead(vms []units.Vector) units.Vector {
 // to judge which overhead relationships the measurement campaign actually
 // pins down (e.g. the Dom0 bandwidth slope is tight; the memory column is
 // wide because Dom0 CPU does not depend on guest memory).
+//
+// Each target's bootstrap is seeded on its own (seed + target) over the
+// shared, read-only design, so the targets run on up to GOMAXPROCS
+// goroutines and the intervals do not depend on the worker count. When
+// several targets fail, the error is the lowest target's.
 func CoefficientCIs(samples []Sample, b int, conf float64, seed int64) ([NumTargets]*stats.CoefCI, error) {
 	var out [NumTargets]*stats.CoefCI
 	if len(samples) == 0 {
@@ -407,16 +415,30 @@ func CoefficientCIs(samples []Sample, b int, conf float64, seed int64) ([NumTarg
 	for i, s := range samples {
 		xs[i] = features(s.VMSum)
 	}
-	ys := make([]float64, len(samples))
-	for _, t := range Targets() {
-		for i, s := range samples {
-			ys[i] = s.target(t)
-		}
-		ci, err := stats.BootstrapOLS(xs, ys, true, b, conf, seed+int64(t))
+	var (
+		errs [NumTargets]error
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), NumTargets); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ys := make([]float64, len(samples))
+			for t := Target(next.Add(1) - 1); int(t) < NumTargets; t = Target(next.Add(1) - 1) {
+				for i, s := range samples {
+					ys[i] = s.target(t)
+				}
+				out[t], errs[t] = stats.BootstrapOLS(xs, ys, true, b, conf, seed+int64(t))
+			}
+		}()
+	}
+	wg.Wait()
+	for t, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("core: bootstrap for %v: %w", t, err)
+			clear(out[t:])
+			return out, fmt.Errorf("core: bootstrap for %v: %w", Target(t), err)
 		}
-		out[t] = ci
 	}
 	return out, nil
 }

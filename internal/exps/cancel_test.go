@@ -114,3 +114,48 @@ func TestFitModelContextPreCanceled(t *testing.T) {
 		t.Errorf("pre-canceled fit ran %d engine steps", n)
 	}
 }
+
+// A paper-size report canceled once its extension studies have started
+// returns "" and ctx.Err(), and every extension campaign in flight stops
+// within one engine step: the cancel fires on the first instrumented step
+// after the "extensions" section opens, inside the robustness study's
+// campaign pool.
+func TestFullReportContextCancelsInExtensions(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		sections, steps *obs.Counter
+		once            sync.Once
+		stepsAtCancel   atomic.Int64
+	)
+	stepsAtCancel.Store(-1)
+	reg := obs.NewRegistry(obs.WithClock(func() int64 {
+		// tables, micro-benchmarks, model-fit, prediction, placement,
+		// extensions: the sixth section opens the extension studies.
+		if sections.Value() >= 6 {
+			once.Do(func() {
+				stepsAtCancel.Store(int64(steps.Value()))
+				cancel()
+			})
+		}
+		return 0
+	}))
+	sections = reg.Counter("report_sections_total", "report sections rendered")
+	steps = reg.Counter("engine_steps_total", "simulation steps run")
+	SetObservability(reg)
+	defer SetObservability(nil)
+
+	doc, err := FullReportContext(ctx, PaperReportConfig(2))
+	if !errors.Is(err, context.Canceled) || doc != "" {
+		t.Fatalf("got %d bytes, err %v; want \"\" and context.Canceled", len(doc), err)
+	}
+	at := stepsAtCancel.Load()
+	if at < 0 {
+		t.Fatal("cancel hook never fired: the report returned before its extensions")
+	}
+	got := int64(steps.Value())
+	if bound := at + int64(runtime.GOMAXPROCS(0)); got > bound {
+		t.Errorf("engines ran %d steps, cancel fired at %d with %d workers: a campaign outlived the cancellation by more than one step",
+			got, at, runtime.GOMAXPROCS(0))
+	}
+}

@@ -263,12 +263,24 @@ func FitModelContext(ctx context.Context, seed int64, samplesPerRun int, opt cor
 	if samplesPerRun <= 0 {
 		samplesPerRun = 30
 	}
+	m, _, err := fitModelCorpus(ctx, seed, samplesPerRun, opt)
+	return m, err
+}
+
+// fitModelCorpus builds the training corpus, fits the overhead model on
+// it and emits the journal's "fit" event, whose duration covers both. It
+// also returns the corpus's single-VM part, for callers that reuse it.
+func fitModelCorpus(ctx context.Context, seed int64, samplesPerRun int, opt core.FitOptions) (*core.Model, []core.Sample, error) {
 	jr := journal()
 	var ft0, fa0 int64
 	if jr.Enabled() {
 		ft0, fa0 = jr.Now(), jr.AllocBytes()
 	}
-	m, err := fitModelInner(ctx, seed, samplesPerRun, opt)
+	var m *core.Model
+	single, multi, err := trainingCorpusCtx(ctx, seed, samplesPerRun)
+	if err == nil {
+		m, err = core.Train(single, multi, opt)
+	}
 	if jr.Enabled() {
 		method := "ols"
 		if opt.Method == core.MethodLMS {
@@ -277,13 +289,5 @@ func FitModelContext(ctx context.Context, seed int64, samplesPerRun int, opt cor
 		jr.Emit(&obs.Event{Type: "fit", Method: method, Samples: samplesPerRun,
 			DurNanos: jr.Now() - ft0, AllocBytes: jr.AllocBytes() - fa0, Err: errText(err)})
 	}
-	return m, err
-}
-
-func fitModelInner(ctx context.Context, seed int64, samplesPerRun int, opt core.FitOptions) (*core.Model, error) {
-	single, multi, err := trainingCorpusCtx(ctx, seed, samplesPerRun)
-	if err != nil {
-		return nil, err
-	}
-	return core.Train(single, multi, opt)
+	return m, single, err
 }

@@ -1,7 +1,9 @@
 package exps
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"virtover/internal/core"
 	"virtover/internal/monitor"
@@ -53,6 +55,12 @@ func (sc HeteroScenario) spreadFactor(i int) float64 {
 // RunHetero executes the scenario and returns per-sample configuration
 // samples.
 func RunHetero(sc HeteroScenario) ([]core.ConfigSample, error) {
+	return runHetero(context.Background(), sc)
+}
+
+// runHetero is RunHetero with cancellation: the campaign aborts within one
+// engine step of ctx cancel and returns ctx.Err().
+func runHetero(ctx context.Context, sc HeteroScenario) ([]core.ConfigSample, error) {
 	if len(sc.VCPUs) == 0 {
 		return nil, fmt.Errorf("exps: hetero scenario needs at least one guest")
 	}
@@ -86,7 +94,7 @@ func RunHetero(sc HeteroScenario) ([]core.ConfigSample, error) {
 	e := xen.NewEngine(cl, xen.DefaultCalibration(), sc.Seed)
 	defer e.Close()
 	script := monitor.Script{IntervalSteps: 1, Samples: samples, Noise: monitor.DefaultNoise(), Seed: sc.Seed + 1000}
-	series, err := script.Run(e, []*xen.PM{pm})
+	series, err := script.RunContext(ctx, e, []*xen.PM{pm})
 	if err != nil {
 		return nil, err
 	}
@@ -106,6 +114,10 @@ func RunHetero(sc HeteroScenario) ([]core.ConfigSample, error) {
 // single guests with 1, 2 and 4 VCPUs across CPU fractions and BW levels,
 // plus mixed-configuration co-locations.
 func HeteroCorpus(seed int64, samplesPerRun int) (single, multi []core.ConfigSample, err error) {
+	return heteroCorpus(context.Background(), seed, samplesPerRun)
+}
+
+func heteroCorpus(ctx context.Context, seed int64, samplesPerRun int) (single, multi []core.ConfigSample, err error) {
 	// A dense fraction grid matters: high-VCPU guests saturate the host at
 	// high fractions and those runs are filtered out, so the surviving
 	// (fraction, VCPUs) combinations must still pin down the per-VCPU
@@ -116,34 +128,22 @@ func HeteroCorpus(seed int64, samplesPerRun int) (single, multi []core.ConfigSam
 	// columns, which pure CPU+BW campaigns would leave constant.
 	ios := []float64{0, 20, 55}
 	mems := []float64{0, 15, 45}
-	run := func(sc HeteroScenario, tag int64) error {
-		sc.Samples = samplesPerRun
-		sc.Seed = seed + tag
-		ss, rerr := RunHetero(sc)
-		if rerr != nil {
-			return rerr
-		}
-		for _, s := range ss {
-			if s.N == 1 {
-				single = append(single, s)
-			} else {
-				multi = append(multi, s)
-			}
-		}
-		return nil
-	}
+	var scenarios []HeteroScenario
 	tag := int64(0)
+	add := func(sc HeteroScenario) {
+		tag++
+		sc.Samples = samplesPerRun
+		sc.Seed = seed + tag*37
+		scenarios = append(scenarios, sc)
+	}
 	for _, v := range []int{1, 2, 4} {
 		for fi, f := range fracs {
 			for bi, bw := range bws {
-				tag++
-				if err := run(HeteroScenario{
+				add(HeteroScenario{
 					VCPUs: []int{v}, CPUFrac: f, BWMbps: bw,
 					IOBlocks: ios[(fi+bi)%len(ios)],
 					MemMB:    mems[(fi+2*bi)%len(mems)],
-				}, tag*37); err != nil {
-					return nil, nil, err
-				}
+				})
 			}
 		}
 	}
@@ -152,31 +152,50 @@ func HeteroCorpus(seed int64, samplesPerRun int) (single, multi []core.ConfigSam
 	// features, which fraction sweeps alone leave nearly collinear.
 	for _, v := range []int{1, 2, 4} {
 		for mi, mc := range []float64{20, 45, 70, 90} {
-			tag++
-			if err := run(HeteroScenario{
+			add(HeteroScenario{
 				VCPUs: []int{v}, CPUFrac: mc / (100 * float64(v)),
 				BWMbps:   bws[mi%len(bws)],
 				IOBlocks: ios[mi%len(ios)],
-			}, tag*37); err != nil {
-				return nil, nil, err
-			}
+			})
 		}
 	}
 	for _, cfg := range [][]int{{1, 2}, {2, 2}, {1, 1, 2}, {1, 4}} {
 		for fi, f := range fracs[:5] { // higher fractions saturate the pool
 			for bi, bw := range bws {
-				tag++
-				if err := run(HeteroScenario{
+				add(HeteroScenario{
 					VCPUs: cfg, CPUFrac: f, FracSpread: 0.4, BWMbps: bw,
 					IOBlocks: ios[(fi+2*bi)%len(ios)],
 					MemMB:    mems[(fi+bi)%len(mems)],
-				}, tag*37); err != nil {
-					return nil, nil, err
-				}
+				})
+			}
+		}
+	}
+	perRun, err := runHeteros(ctx, scenarios)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, ss := range perRun {
+		for _, s := range ss {
+			if s.N == 1 {
+				single = append(single, s)
+			} else {
+				multi = append(multi, s)
 			}
 		}
 	}
 	return single, multi, nil
+}
+
+// runHeteros runs the scenarios on the campaign pool and returns each
+// one's samples in its index-addressed slot.
+func runHeteros(ctx context.Context, scenarios []HeteroScenario) ([][]core.ConfigSample, error) {
+	perRun := make([][]core.ConfigSample, len(scenarios))
+	err := runParallelCtx(ctx, len(scenarios), func(jctx context.Context, i int) error {
+		ss, err := runHetero(jctx, scenarios[i])
+		perRun[i] = ss
+		return err
+	})
+	return perRun, err
 }
 
 // HeteroComparison holds the head-to-head result of the base model vs the
@@ -194,10 +213,14 @@ type HeteroComparison struct {
 // penalty is applied unless the caller requests a specific estimator: the
 // co-location residual fits are otherwise ill-conditioned on this corpus.
 func HeteroExperiment(seed int64, samplesPerRun int, opt core.FitOptions) (HeteroComparison, error) {
+	return heteroExperiment(context.Background(), seed, samplesPerRun, opt)
+}
+
+func heteroExperiment(ctx context.Context, seed int64, samplesPerRun int, opt core.FitOptions) (HeteroComparison, error) {
 	if opt.Method == core.MethodOLS && opt.Ridge == 0 {
 		opt.Ridge = 1.0
 	}
-	single, multi, err := HeteroCorpus(seed, samplesPerRun)
+	single, multi, err := heteroCorpus(ctx, seed, samplesPerRun)
 	if err != nil {
 		return HeteroComparison{}, err
 	}
@@ -219,21 +242,21 @@ func HeteroExperiment(seed int64, samplesPerRun int, opt core.FitOptions) (Heter
 	}
 
 	// Held-out evaluation: configurations and fractions not in the corpus.
-	var eval []core.ConfigSample
-	for i, sc := range []HeteroScenario{
+	held := []HeteroScenario{
 		{VCPUs: []int{3}, CPUFrac: 0.45, BWMbps: 0.5, IOBlocks: 10},
 		{VCPUs: []int{2, 1}, CPUFrac: 0.5, FracSpread: 0.3, BWMbps: 0.2, MemMB: 25},
 		{VCPUs: []int{4, 1}, CPUFrac: 0.2, FracSpread: 0.2, BWMbps: 0.8},
 		{VCPUs: []int{2, 2, 1}, CPUFrac: 0.25, FracSpread: 0.5, BWMbps: 0.1, IOBlocks: 30},
-	} {
-		sc.Samples = samplesPerRun
-		sc.Seed = seed + 9000 + int64(i)*13
-		ss, err := RunHetero(sc)
-		if err != nil {
-			return HeteroComparison{}, err
-		}
-		eval = append(eval, ss...)
 	}
+	for i := range held {
+		held[i].Samples = samplesPerRun
+		held[i].Seed = seed + 9000 + int64(i)*13
+	}
+	perRun, err := runHeteros(ctx, held)
+	if err != nil {
+		return HeteroComparison{}, err
+	}
+	eval := slices.Concat(perRun...)
 
 	cmp := HeteroComparison{N: len(eval)}
 	for _, s := range eval {

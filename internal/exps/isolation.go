@@ -1,7 +1,9 @@
 package exps
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"virtover/internal/core"
 	"virtover/internal/monitor"
@@ -27,8 +29,14 @@ type IsolationResult struct {
 	EvalN                       int
 }
 
+// toolRun is one single-VM campaign driven by an arbitrary source.
+type toolRun struct {
+	src  xen.Source
+	seed int64
+}
+
 // runToolScenario measures one VM driven by an arbitrary source.
-func runToolScenario(src xen.Source, samples int, seed int64) ([]core.Sample, error) {
+func runToolScenario(ctx context.Context, src xen.Source, samples int, seed int64) ([]core.Sample, error) {
 	cl := xen.NewCluster()
 	pm := cl.AddPM("pm1")
 	vm := cl.AddVM(pm, "vm1", 512)
@@ -36,68 +44,54 @@ func runToolScenario(src xen.Source, samples int, seed int64) ([]core.Sample, er
 	e := xen.NewEngine(cl, xen.DefaultCalibration(), seed)
 	defer e.Close()
 	script := monitor.Script{IntervalSteps: 1, Samples: samples, Noise: monitor.DefaultNoise(), Seed: seed + 1000}
-	series, err := script.Run(e, []*xen.PM{pm})
+	series, err := script.RunContext(ctx, e, []*xen.PM{pm})
 	if err != nil {
 		return nil, err
 	}
 	return core.SamplesFromSeries(series), nil
 }
 
+// toolCorpus runs the campaigns on the campaign pool and concatenates
+// their samples in run order.
+func toolCorpus(ctx context.Context, runs []toolRun, samplesPerRun int) ([]core.Sample, error) {
+	perRun := make([][]core.Sample, len(runs))
+	err := runParallelCtx(ctx, len(runs), func(jctx context.Context, i int) error {
+		ss, err := runToolScenario(jctx, runs[i].src, samplesPerRun, runs[i].seed)
+		perRun[i] = ss
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(perRun...), nil
+}
+
 // coupledCorpus sweeps httperf request rates, iperf rates and Fibonacci
 // duty cycles — the related-work training diet.
-func coupledCorpus(seed int64, samplesPerRun int) ([]core.Sample, error) {
-	var out []core.Sample
+func coupledCorpus(ctx context.Context, seed int64, samplesPerRun int) ([]core.Sample, error) {
+	// Seeds are fixed in one serial pass: each tool's workload seed reads
+	// tag before add increments it for the campaign seed.
+	var runs []toolRun
 	tag := int64(0)
-	add := func(src xen.Source) error {
+	add := func(src xen.Source) {
 		tag++
-		ss, err := runToolScenario(src, samplesPerRun, seed+tag*31)
-		if err != nil {
-			return err
-		}
-		out = append(out, ss...)
-		return nil
+		runs = append(runs, toolRun{src: src, seed: seed + tag*31})
 	}
 	prof := workload.DefaultHttperfProfile()
 	for _, rate := range []float64{5, 25, 60, 110, 160} {
-		if err := add(workload.Httperf(rate, prof, workload.Options{JitterRel: 0.01, Seed: seed + tag})); err != nil {
-			return nil, err
-		}
+		add(workload.Httperf(rate, prof, workload.Options{JitterRel: 0.01, Seed: seed + tag}))
 	}
 	for _, mbps := range []float64{0.05, 0.3, 0.7, 1.28} {
-		if err := add(workload.Iperf(mbps, workload.Options{JitterRel: 0.01, Seed: seed + tag})); err != nil {
-			return nil, err
-		}
+		add(workload.Iperf(mbps, workload.Options{JitterRel: 0.01, Seed: seed + tag}))
 	}
 	for _, duty := range []float64{0.1, 0.35, 0.6, 0.85} {
-		if err := add(workload.Fibonacci(duty, workload.Options{JitterRel: 0.01, Seed: seed + tag})); err != nil {
-			return nil, err
-		}
+		add(workload.Fibonacci(duty, workload.Options{JitterRel: 0.01, Seed: seed + tag}))
 	}
-	return out, nil
-}
-
-// isolatedCorpus is the single-VM slice of the Table II study.
-func isolatedCorpus(seed int64, samplesPerRun int) ([]core.Sample, error) {
-	var out []core.Sample
-	for _, k := range workload.Kinds() {
-		for lvl := 0; lvl < len(workload.Levels(k)); lvl++ {
-			sc := MicroScenario{
-				N: 1, Kind: k, LevelIdx: lvl,
-				Samples: samplesPerRun,
-				Seed:    seed + int64(k)*1000 + int64(lvl),
-			}
-			_, series, err := RunMicro(sc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, core.SamplesFromSeries(series)...)
-		}
-	}
-	return out, nil
+	return toolCorpus(ctx, runs, samplesPerRun)
 }
 
 // evalCorpus holds diverse held-out mixes neither diet has seen.
-func evalCorpus(seed int64, samplesPerRun int) ([]core.Sample, error) {
+func evalCorpus(ctx context.Context, seed int64, samplesPerRun int) ([]core.Sample, error) {
 	mixes := []xen.Demand{
 		{CPU: 70, IOBlocks: 5, Flows: []xen.Flow{{Kbps: 60}}},
 		{CPU: 10, IOBlocks: 60, Flows: []xen.Flow{{Kbps: 900}}},
@@ -105,33 +99,32 @@ func evalCorpus(seed int64, samplesPerRun int) ([]core.Sample, error) {
 		{CPU: 5, MemMB: 45, Flows: []xen.Flow{{Kbps: 1200}}},
 		{CPU: 88, Flows: []xen.Flow{{Kbps: 20}}},
 	}
-	var out []core.Sample
+	runs := make([]toolRun, len(mixes))
 	for i, d := range mixes {
-		d := d
-		ss, err := runToolScenario(xen.SourceFunc(func(float64) xen.Demand { return d }), samplesPerRun, seed+int64(i)*17)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ss...)
+		runs[i] = toolRun{src: xen.SourceFunc(func(float64) xen.Demand { return d }), seed: seed + int64(i)*17}
 	}
-	return out, nil
+	return toolCorpus(ctx, runs, samplesPerRun)
 }
 
 // IsolationExperiment trains single-VM models on both diets and scores
 // them on the shared held-out mixes.
 func IsolationExperiment(seed int64, samplesPerRun int, opt core.FitOptions) (IsolationResult, error) {
+	return isolationExperiment(context.Background(), seed, samplesPerRun, opt)
+}
+
+func isolationExperiment(ctx context.Context, seed int64, samplesPerRun int, opt core.FitOptions) (IsolationResult, error) {
 	if samplesPerRun <= 0 {
 		samplesPerRun = 30
 	}
-	iso, err := isolatedCorpus(seed, samplesPerRun)
+	iso, err := ladderCorpus(ctx, seed, samplesPerRun, nil, false)
 	if err != nil {
 		return IsolationResult{}, err
 	}
-	coup, err := coupledCorpus(seed, samplesPerRun)
+	coup, err := coupledCorpus(ctx, seed, samplesPerRun)
 	if err != nil {
 		return IsolationResult{}, err
 	}
-	eval, err := evalCorpus(seed+999, samplesPerRun)
+	eval, err := evalCorpus(ctx, seed+999, samplesPerRun)
 	if err != nil {
 		return IsolationResult{}, err
 	}

@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"runtime"
 	"testing"
 
+	"virtover/internal/core"
 	"virtover/internal/monitor"
 	"virtover/internal/units"
 	"virtover/internal/xen"
@@ -110,8 +112,21 @@ func TestPredictionGolden(t *testing.T) {
 	}
 }
 
-// TestFullReportDeterminism: the quick report renders byte-identical
-// documents on repeated runs in one process and at another shard count.
+// quickReportSHA256 is the SHA-256 of FullReport(QuickReportConfig(1)).
+// A changed digest is a changed report, not noise.
+const quickReportSHA256 = "1490d6b2724744d16e12ec1a835c759c91b7a989c965a1b654ece41d3c370440"
+
+// atProcs runs fn at GOMAXPROCS n and restores the previous value.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestFullReportDeterminism pins the quick report to the byte at one and
+// four workers (its campaign pools and per-target bootstraps gather in
+// index order), repeated in one process and at another shard count; and
+// holds the fanned-out hetero corpus, scaling policies and coefficient
+// bootstrap to the bit at one worker against four.
 func TestFullReportDeterminism(t *testing.T) {
 	render := func() string {
 		t.Helper()
@@ -119,16 +134,62 @@ func TestFullReportDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return doc
+		sum := sha256.Sum256([]byte(doc))
+		return hex.EncodeToString(sum[:])
 	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatal("second render differs from the first")
+	for _, procs := range []int{1, 4} {
+		atProcs(procs, func() {
+			if got := render(); got != quickReportSHA256 {
+				t.Errorf("GOMAXPROCS %d: report SHA-256 %s, want %s", procs, got, quickReportSHA256)
+			}
+		})
 	}
 	prev := xen.DefaultShards()
 	t.Cleanup(func() { xen.SetDefaultShards(prev) })
 	xen.SetDefaultShards(2)
-	if render() != first {
-		t.Fatal("render at 2 shards differs from 1 shard")
+	if got := render(); got != quickReportSHA256 {
+		t.Errorf("2 shards: report SHA-256 %s, want %s", got, quickReportSHA256)
+	}
+
+	single, _, err := TrainingCorpus(1, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extensions := func() string {
+		t.Helper()
+		d := newBitsDigest()
+		hs, hm, err := HeteroCorpus(71, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range append(hs, hm...) {
+			d.u64(uint64(s.N))
+			d.u64(uint64(s.ExtraVCPUs))
+			d.vec(s.VMSum)
+			d.f64s(s.Dom0CPU, s.HypCPU)
+			d.vec(s.PM)
+		}
+		sres, err := ScalingExperiment(DefaultScalingConfig(81))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sres {
+			d.u64(uint64(r.Policy))
+			d.f64s(r.ViolationRate, r.MeanReservation, r.MeanDemand, r.Efficiency)
+		}
+		cis, err := core.CoefficientCIs(single, 100, 0.90, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ci := range cis {
+			coefCIDigest(d, ci)
+		}
+		return d.hex()
+	}
+	var one, four string
+	atProcs(1, func() { one = extensions() })
+	atProcs(4, func() { four = extensions() })
+	if one != four {
+		t.Errorf("hetero corpus, scaling and coefficient CIs differ at one and four workers: %s vs %s", one, four)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"virtover/internal/cloudscale"
 	"virtover/internal/core"
 	"virtover/internal/obs"
+	"virtover/internal/stats"
 )
 
 // ReportConfig scales the full-reproduction report.
@@ -62,11 +63,17 @@ func FullReport(cfg ReportConfig) (string, error) {
 	return FullReportContext(context.Background(), cfg)
 }
 
-// FullReportContext is FullReport with cancellation. The heavyweight
-// sections (micro-benchmark figures, corpus build + model fit, prediction
-// and placement campaigns) abort within one engine step of ctx cancel; the
-// remaining extension sections check ctx at their boundaries. A canceled
-// report returns "" and ctx.Err().
+// FullReportContext is FullReport with cancellation. Every simulation
+// campaign (micro-benchmark figures, corpus build + model fit, prediction,
+// placement and the robustness, isolation, heterogeneous and scaling
+// extensions) aborts within one engine step of ctx cancel; the bootstrap,
+// mitigation and admission studies check ctx before they start. A
+// canceled report returns "" and ctx.Err().
+//
+// Sections run one after another; within a section, independent
+// campaigns (and the five per-target bootstraps) run on a pool of
+// GOMAXPROCS workers and are gathered in index order, so the report is
+// byte-identical at any worker count.
 func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	if cfg.SamplesPerRun <= 0 {
 		cfg.SamplesPerRun = 15
@@ -133,7 +140,7 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 		return "", err
 	}
 	b.WriteString("## Overhead estimation model (Section V)\n\n```\n")
-	model, err := FitModelContext(ctx, cfg.Seed, cfg.SamplesPerRun, core.FitOptions{})
+	model, cis, err := fitModelWithCIs(ctx, cfg)
 	if err != nil {
 		return "", err
 	}
@@ -196,7 +203,7 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	b.WriteString("## Extensions beyond the paper\n\n")
 
 	b.WriteString("### Robustness: OLS vs LMS under tool glitches\n\n```\n")
-	rob, err := RobustnessExperiment(cfg.Seed+51, cfg.SamplesPerRun, 0.08)
+	rob, err := robustnessExperiment(ctx, cfg.Seed+51, cfg.SamplesPerRun, 0.08)
 	if err != nil {
 		return "", err
 	}
@@ -205,7 +212,7 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	b.WriteString("```\n\n")
 
 	b.WriteString("### Workload isolation: Table II ladders vs coupled tools\n\n```\n")
-	iso, err := IsolationExperiment(cfg.Seed+61, cfg.SamplesPerRun, core.FitOptions{})
+	iso, err := isolationExperiment(ctx, cfg.Seed+61, cfg.SamplesPerRun, core.FitOptions{})
 	if err != nil {
 		return "", err
 	}
@@ -214,7 +221,7 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	b.WriteString("```\n\n")
 
 	b.WriteString("### Heterogeneous configurations (the paper's future work)\n\n```\n")
-	het, err := HeteroExperiment(cfg.Seed+71, cfg.SamplesPerRun, core.FitOptions{})
+	het, err := heteroExperiment(ctx, cfg.Seed+71, cfg.SamplesPerRun, core.FitOptions{})
 	if err != nil {
 		return "", err
 	}
@@ -223,13 +230,16 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	b.WriteString("```\n\n")
 
 	b.WriteString("### Elastic scaling (CloudScale core)\n\n```\n")
-	sres, err := ScalingExperiment(DefaultScalingConfig(cfg.Seed + 81))
+	sres, err := scalingExperiment(ctx, DefaultScalingConfig(cfg.Seed+81))
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(RenderScaling(sres))
 	b.WriteString("```\n\n")
 
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	b.WriteString("### Hotspot mitigation\n\n```\n")
 	mit, err := MitigationExperiment(model, MitigationConfig{
 		Controller: true, Policy: cloudscale.VOA, Duration: 120, Seed: cfg.Seed + 91,
@@ -241,6 +251,9 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 		len(mit.Migrations), mit.ThroughputBefore, mit.ThroughputAfter, mit.OfferedRate)
 	b.WriteString("```\n\n")
 
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	b.WriteString("### Admission control\n\n```\n")
 	adm, err := AdmissionExperiment(model, AdmissionConfig{Arrivals: 10, DwellSeconds: 15, Seed: cfg.Seed + 95})
 	if err != nil {
@@ -252,16 +265,8 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	}
 	b.WriteString("```\n\n")
 
-	// Coefficient confidence.
+	// Coefficient confidence, computed with the model fit.
 	b.WriteString("### Coefficient confidence (90% bootstrap)\n\n```\n")
-	single, _, err := trainingCorpusCtx(ctx, cfg.Seed, cfg.SamplesPerRun)
-	if err != nil {
-		return "", err
-	}
-	cis, err := core.CoefficientCIs(single, 100, 0.90, cfg.Seed+99)
-	if err != nil {
-		return "", err
-	}
 	names := []string{"const", "cpu", "mem", "io", "bw"}
 	for _, t := range core.Targets() {
 		fmt.Fprintf(&b, "%s:\n", t)
@@ -271,4 +276,22 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	}
 	b.WriteString("```\n")
 	return b.String(), nil
+}
+
+// fitModelWithCIs simulates the training corpus once, fits the report's
+// model on it (emitting the journal "fit" event FitModelContext emits)
+// and bootstraps the single-VM coefficients' confidence intervals from
+// the same corpus. The corpus is dropped on return, so it is not live
+// during the later sections.
+func fitModelWithCIs(ctx context.Context, cfg ReportConfig) (*core.Model, [core.NumTargets]*stats.CoefCI, error) {
+	var cis [core.NumTargets]*stats.CoefCI
+	model, single, err := fitModelCorpus(ctx, cfg.Seed, cfg.SamplesPerRun, core.FitOptions{})
+	if err != nil {
+		return nil, cis, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, cis, err
+	}
+	cis, err = core.CoefficientCIs(single, 100, 0.90, cfg.Seed+99)
+	return model, cis, err
 }

@@ -1,7 +1,9 @@
 package exps
 
 import (
+	"context"
 	"runtime"
+	"slices"
 
 	"virtover/internal/core"
 	"virtover/internal/monitor"
@@ -32,48 +34,67 @@ type RobustnessResult struct {
 
 // glitchyCorpus builds a single-VM training corpus under a glitchy noise
 // profile.
-func glitchyCorpus(seed int64, samplesPerRun int, glitchProb float64) ([]core.Sample, error) {
+func glitchyCorpus(ctx context.Context, seed int64, samplesPerRun int, glitchProb float64) ([]core.Sample, error) {
 	noise := monitor.DefaultNoise()
 	noise.OutlierProb = glitchProb
 	noise.OutlierMul = 5
-	calib := xen.DefaultCalibration()
-	var out []core.Sample
+	return ladderCorpus(ctx, seed, samplesPerRun, &noise, true)
+}
+
+// ladderCorpus runs one single-VM campaign per Table II workload level,
+// seeded seed + kind*1000 + level and measured under noise (nil selects
+// the default profile), on the campaign pool, and concatenates the
+// samples in ladder order. skipSaturated drops the runs that show the
+// CPU-saturation squeeze (see IsSaturatedRun).
+func ladderCorpus(ctx context.Context, seed int64, samplesPerRun int, noise *monitor.NoiseProfile, skipSaturated bool) ([]core.Sample, error) {
+	var scenarios []MicroScenario
 	for _, k := range workload.Kinds() {
 		for lvl := 0; lvl < len(workload.Levels(k)); lvl++ {
-			sc := MicroScenario{
+			scenarios = append(scenarios, MicroScenario{
 				N: 1, Kind: k, LevelIdx: lvl,
 				Samples: samplesPerRun,
 				Seed:    seed + int64(k)*1000 + int64(lvl),
-				Noise:   &noise,
-			}
-			avg, series, err := RunMicro(sc)
-			if err != nil {
-				return nil, err
-			}
-			if IsSaturatedRun(avg, calib) {
-				continue
-			}
-			out = append(out, core.SamplesFromSeries(series)...)
+				Noise:   noise,
+			})
 		}
 	}
-	return out, nil
+	calib := xen.DefaultCalibration()
+	perRun := make([][]core.Sample, len(scenarios))
+	err := runParallelCtx(ctx, len(scenarios), func(jctx context.Context, i int) error {
+		avg, series, err := RunMicroContext(jctx, scenarios[i])
+		if err != nil {
+			return err
+		}
+		if !skipSaturated || !IsSaturatedRun(avg, calib) {
+			perRun[i] = core.SamplesFromSeries(series)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(perRun...), nil
 }
 
 // RobustnessExperiment trains single-VM models with OLS and LMS on a
 // corpus measured by glitch-prone tools, then scores both on a clean
 // corpus. glitchProb <= 0 defaults to 0.08 (about one reading in twelve).
 func RobustnessExperiment(seed int64, samplesPerRun int, glitchProb float64) (RobustnessResult, error) {
+	return robustnessExperiment(context.Background(), seed, samplesPerRun, glitchProb)
+}
+
+func robustnessExperiment(ctx context.Context, seed int64, samplesPerRun int, glitchProb float64) (RobustnessResult, error) {
 	if glitchProb <= 0 {
 		glitchProb = 0.08
 	}
 	if samplesPerRun <= 0 {
 		samplesPerRun = 30
 	}
-	train, err := glitchyCorpus(seed, samplesPerRun, glitchProb)
+	train, err := glitchyCorpus(ctx, seed, samplesPerRun, glitchProb)
 	if err != nil {
 		return RobustnessResult{}, err
 	}
-	clean, err := glitchyCorpus(seed+777, samplesPerRun, 0)
+	clean, err := glitchyCorpus(ctx, seed+777, samplesPerRun, 0)
 	if err != nil {
 		return RobustnessResult{}, err
 	}

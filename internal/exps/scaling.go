@@ -1,6 +1,7 @@
 package exps
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -84,22 +85,29 @@ func DefaultScalingConfig(seed int64) ScalingConfig {
 
 // ScalingExperiment runs every policy against the same workload.
 func ScalingExperiment(cfg ScalingConfig) ([]ScalingResult, error) {
+	return scalingExperiment(context.Background(), cfg)
+}
+
+// scalingExperiment runs the policies on the campaign pool, each on its
+// own engine, and returns their results in policy order.
+func scalingExperiment(ctx context.Context, cfg ScalingConfig) ([]ScalingResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 900
 	}
 	policies := []ScalingPolicy{ScaleStaticPeak, ScaleStaticMean, ScaleSlidingWindow, ScaleSignature}
-	out := make([]ScalingResult, 0, len(policies))
-	for _, p := range policies {
-		r, err := runScalingOnce(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	out := make([]ScalingResult, len(policies))
+	err := runParallelCtx(ctx, len(policies), func(jctx context.Context, i int) error {
+		r, err := runScalingOnce(jctx, cfg, policies[i])
+		out[i] = r
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func runScalingOnce(cfg ScalingConfig, policy ScalingPolicy) (ScalingResult, error) {
+func runScalingOnce(ctx context.Context, cfg ScalingConfig, policy ScalingPolicy) (ScalingResult, error) {
 	demandAt := func(t float64) float64 {
 		if cfg.Square {
 			if math.Mod(t, cfg.Period) < cfg.Period/2 {
@@ -157,7 +165,9 @@ func runScalingOnce(cfg ScalingConfig, policy ScalingPolicy) (ScalingResult, err
 	var capSum, demandSum float64
 	for step := 0; step < cfg.Duration; step++ {
 		tDemand := demandAt(e.Now()) // demand the guest will request this step
-		e.Advance(1)
+		if err := e.AdvanceContext(ctx, 1); err != nil {
+			return ScalingResult{}, err
+		}
 		cap := vm.CPUCap()
 		if cap <= 0 {
 			cap = 100

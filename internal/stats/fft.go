@@ -42,18 +42,9 @@ func FFT(x []complex128) ([]complex128, error) {
 	}
 	out := make([]complex128, n)
 	// Bit-reversal permutation.
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	for i := 0; i < n; i++ {
-		rev := 0
-		for b := 0; b < bits; b++ {
-			if i&(1<<b) != 0 {
-				rev |= 1 << (bits - 1 - b)
-			}
-		}
-		out[rev] = x[i]
+	shift := 64 - bits.TrailingZeros(uint(n))
+	for i, v := range x {
+		out[bits.Reverse64(uint64(i))>>shift] = v
 	}
 	// Butterflies.
 	for size := 2; size <= n; size <<= 1 {

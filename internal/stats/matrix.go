@@ -232,6 +232,7 @@ type qrScratch struct {
 	v0  []float64
 	vn2 []float64 // ||v_k||^2, or 0 for a column whose reflector is skipped
 	v   []float64 // the current reflector while factoring
+	dot []float64 // the trailing columns' v·r_j, then their factors f_j
 	y   []float64
 	x   []float64
 }
@@ -247,6 +248,16 @@ func grow(buf []float64, n int) []float64 {
 // factor triangularizes a copy of a by Householder reflections and keeps
 // the reflectors for apply. It fails on an underdetermined or
 // rank-deficient design.
+//
+// Column k takes three passes over R. The first, down column k, sums its
+// norm and copies it into the reflector v. The second, row-major over the
+// trailing block, sums every trailing column's v·r_j in its own register
+// accumulator, up to four columns per pass. The third, row-major too,
+// subtracts f_j·v from every trailing column and stores the reflector
+// below the diagonal. Every sum adds the same terms in the same row order
+// as a column-at-a-time loop, so the result is bit-identical to one; only
+// the update of column k below the diagonal, which the reflector
+// overwrites, is skipped.
 func (s *qrScratch) factor(a *Matrix) error {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -257,14 +268,18 @@ func (s *qrScratch) factor(a *Matrix) error {
 	s.v = grow(s.v, m)
 	s.v0 = grow(s.v0, n)
 	s.vn2 = grow(s.vn2, n)
+	s.dot = grow(s.dot, n)
 	r := s.r
 	copy(r, a.Data)
 
 	for k := 0; k < n; k++ {
 		// Householder vector for column k below the diagonal.
+		v := s.v[:m-k]
 		var norm float64
 		for i := k; i < m; i++ {
-			norm += r[i*n+k] * r[i*n+k]
+			x := r[i*n+k]
+			norm += x * x
+			v[i-k] = x
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
@@ -272,10 +287,6 @@ func (s *qrScratch) factor(a *Matrix) error {
 		}
 		if r[k*n+k] > 0 {
 			norm = -norm
-		}
-		v := s.v[:m-k]
-		for i := k; i < m; i++ {
-			v[i-k] = r[i*n+k]
 		}
 		v[0] -= norm
 		var vnorm2 float64
@@ -287,24 +298,72 @@ func (s *qrScratch) factor(a *Matrix) error {
 			continue
 		}
 		s.vn2[k] = vnorm2
-		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns.
-		for j := k; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i-k] * r[i*n+j]
+		// dot[j] accumulates v·r_{k+j}.
+		dot := s.dot[:n-k]
+		for j0 := 0; j0 < len(dot); j0 += 4 {
+			var d0, d1, d2, d3 float64
+			c := k + j0
+			switch len(dot) - j0 {
+			default:
+				for i := k; i < m; i++ {
+					vi := v[i-k]
+					x := r[i*n+c : i*n+c+4 : i*n+c+4]
+					d0 += vi * x[0]
+					d1 += vi * x[1]
+					d2 += vi * x[2]
+					d3 += vi * x[3]
+				}
+				dot[j0+3] = d3
+				dot[j0+2] = d2
+				dot[j0+1] = d1
+			case 3:
+				for i := k; i < m; i++ {
+					vi := v[i-k]
+					x := r[i*n+c : i*n+c+3 : i*n+c+3]
+					d0 += vi * x[0]
+					d1 += vi * x[1]
+					d2 += vi * x[2]
+				}
+				dot[j0+2] = d2
+				dot[j0+1] = d1
+			case 2:
+				for i := k; i < m; i++ {
+					vi := v[i-k]
+					x := r[i*n+c : i*n+c+2 : i*n+c+2]
+					d0 += vi * x[0]
+					d1 += vi * x[1]
+				}
+				dot[j0+1] = d1
+			case 1:
+				for i := k; i < m; i++ {
+					d0 += v[i-k] * r[i*n+c]
+				}
 			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r[i*n+j] -= f * v[i-k]
-			}
+			dot[j0] = d0
+		}
+		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns: dot
+		// becomes each column's factor f_j.
+		for j := range dot {
+			dot[j] = 2 * dot[j] / vnorm2
+		}
+		row := r[k*n+k : k*n+n]
+		for j := range row {
+			row[j] -= dot[j] * v[0]
 		}
 		// Column k below the diagonal is dead from here on (back
 		// substitution reads only the upper triangle), so it keeps the
-		// reflector for apply.
-		s.v0[k] = v[0]
+		// reflector for apply instead of its update.
+		f := dot[1:]
 		for i := k + 1; i < m; i++ {
-			r[i*n+k] = v[i-k]
+			vi := v[i-k]
+			r[i*n+k] = vi
+			tail := r[i*n+k+1 : i*n+n]
+			tail = tail[:len(f)]
+			for j, fj := range f {
+				tail[j] -= fj * vi
+			}
 		}
+		s.v0[k] = v[0]
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -278,5 +280,132 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// factorColumnwise is the column-at-a-time Householder loop that
+// qrScratch.factor fuses: per column a norm pass, a reflector copy, a
+// ||v||^2 pass, then for each trailing column a dot product and an update
+// down the whole column, including the dead sub-diagonal of column k that
+// the reflector overwrites. It is the bit-identity reference for the
+// fused kernel.
+func factorColumnwise(s *qrScratch, a *Matrix) error {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		return errors.New("underdetermined")
+	}
+	s.m, s.n = m, n
+	s.r = grow(s.r, m*n)
+	s.v = grow(s.v, m)
+	s.v0 = grow(s.v0, n)
+	s.vn2 = grow(s.vn2, n)
+	r := s.r
+	copy(r, a.Data)
+	for k := 0; k < n; k++ {
+		var norm float64
+		for i := k; i < m; i++ {
+			norm += r[i*n+k] * r[i*n+k]
+		}
+		norm = math.Sqrt(norm)
+		if norm < 1e-12 {
+			return fmt.Errorf("rank-deficient at column %d", k)
+		}
+		if r[k*n+k] > 0 {
+			norm = -norm
+		}
+		v := s.v[:m-k]
+		for i := k; i < m; i++ {
+			v[i-k] = r[i*n+k]
+		}
+		v[0] -= norm
+		var vnorm2 float64
+		for _, vi := range v {
+			vnorm2 += vi * vi
+		}
+		if vnorm2 < 1e-24 {
+			s.vn2[k] = 0
+			continue
+		}
+		s.vn2[k] = vnorm2
+		for j := k; j < n; j++ {
+			var dot float64
+			for i := k; i < m; i++ {
+				dot += v[i-k] * r[i*n+j]
+			}
+			f := 2 * dot / vnorm2
+			for i := k; i < m; i++ {
+				r[i*n+j] -= f * v[i-k]
+			}
+		}
+		s.v0[k] = v[0]
+		for i := k + 1; i < m; i++ {
+			r[i*n+k] = v[i-k]
+		}
+	}
+	return nil
+}
+
+// The fused factor must leave R, the reflector heads and their squared
+// norms bit-identical to the column-at-a-time loop, and fail exactly
+// where it fails, on random designs and on designs that are nearly or
+// exactly rank deficient (collinear columns, constant columns, columns
+// scaled far apart). Both scratches are reused across designs, so stale
+// storage is compared too.
+func TestQRFactorMatchesColumnwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var fused, ref qrScratch
+	sameBits := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	fails := 0
+	const designs = 4000
+	for d := 0; d < designs; d++ {
+		n := 1 + rng.Intn(7)
+		m := n + rng.Intn(60)
+		a := NewMatrix(m, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		switch d % 4 {
+		case 1: // a near-copy of another column
+			if n >= 2 {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				c, eps := rng.NormFloat64(), math.Pow(10, -float64(6+rng.Intn(10)))
+				for i := 0; i < m; i++ {
+					a.Data[i*n+dst] = c*a.Data[i*n+src] + eps*rng.NormFloat64()
+				}
+			}
+		case 2: // a constant or zero column
+			col, c := rng.Intn(n), float64(rng.Intn(3))
+			for i := 0; i < m; i++ {
+				a.Data[i*n+col] = c
+			}
+		case 3: // small integers: exact ties and exact collinearity
+			for i := range a.Data {
+				a.Data[i] = float64(rng.Intn(3))
+			}
+		}
+		errF, errR := fused.factor(a), factorColumnwise(&ref, a)
+		if (errF == nil) != (errR == nil) {
+			t.Fatalf("design %d (%dx%d): fused err %v, columnwise err %v", d, m, n, errF, errR)
+		}
+		if errF != nil {
+			fails++
+			continue
+		}
+		if !sameBits(fused.r, ref.r) || !sameBits(fused.v0, ref.v0) || !sameBits(fused.vn2, ref.vn2) {
+			t.Fatalf("design %d (%dx%d): fused factor differs from the columnwise loop", d, m, n)
+		}
+	}
+	if fails == 0 || fails == designs {
+		t.Fatalf("%d of %d designs rank deficient: the mix does not exercise both paths", fails, designs)
 	}
 }
